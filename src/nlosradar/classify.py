@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -30,15 +31,82 @@ class Hypothesis(str, Enum):
     NLOS = "I1"
 
 
-@dataclass
-class FovMasks:
-    los: np.ndarray          # (512, 512) bool
-    nlos: np.ndarray         # (512, 512) bool
+@dataclass(frozen=True)
+class _GuardBand:
+    """The occluder: the estimated segment thickened by +/- ``guard_m`` in
+    support-line intercept and lengthened by ``half`` about its centre.
+    Cell coordinates (x, y) are arrays or scalars."""
+
+    slope: float
+    intercept: float
+    ux: float
+    uy: float
+    c_along: float
+    half: float
     guard_m: float
 
-    @property
-    def union(self) -> np.ndarray:
-        return self.los | self.nlos
+    def contains(self, x, y):
+        """Cells inside the band, in strip (intercept offset) and
+        along-segment coordinates."""
+        g = y - x * self.slope - self.intercept
+        s = x * self.ux + y * self.uy - self.c_along
+        return (np.abs(g) <= self.guard_m) & (np.abs(s) <= self.half)
+
+    def crossed_by(self, x, y):
+        """Does alpha * (x, y), alpha in [0, 1], enter the band?"""
+        lo1, hi1 = _interval(y - x * self.slope, -self.intercept, self.guard_m)
+        lo2, hi2 = _interval(x * self.ux + y * self.uy, -self.c_along, self.half)
+        lo = np.maximum(np.maximum(lo1, lo2), 0.0)
+        hi = np.minimum(np.minimum(hi1, hi2), 1.0)
+        return lo <= hi
+
+    def radii(self) -> tuple[float, float]:
+        """Bounds on the distance from the radar of any point in the band.
+
+        A point's projection on the segment direction is c_along + s, and
+        on the normal ux * (intercept + g), with |s| <= half, |g| <= guard_m.
+        """
+        along = abs(self.c_along)
+        across = self.ux * abs(self.intercept)
+        low = math.hypot(max(along - self.half, 0.0),
+                         max(across - self.ux * self.guard_m, 0.0))
+        return low, math.hypot(along + self.half,
+                               across + self.ux * self.guard_m)
+
+
+class FovMasks:
+    """Visible (LOS) and occluded (NLOS) regions of the field of view.
+
+    ``union`` holds the in-FOV cells outside the guard band, the cells the
+    decision searches; it is formed when the masks are built.  Which of the
+    two regions a cell belongs to takes a ray test that runs on demand:
+    ``region(i, j)`` for one cell, and the (512, 512) boolean ``los`` and
+    ``nlos`` arrays on first access, each cell by the same formulas.
+    """
+
+    def __init__(self, union: np.ndarray, ranges: np.ndarray,
+                 sin_a: np.ndarray, cos_a: np.ndarray, band: _GuardBand):
+        self.union = union
+        self.guard_m = band.guard_m
+        self._r, self._sin, self._cos, self._band = ranges, sin_a, cos_a, band
+
+    def region(self, i: int, j: int) -> Hypothesis:
+        """NLOS when the radar-to-cell ray of union cell (i, j) meets the
+        guard band, LOS otherwise."""
+        if not self.union[i, j]:
+            raise ValueError(f"cell ({i}, {j}) is outside the mask union")
+        r = self._r[i]
+        crosses = self._band.crossed_by(r * self._sin[j], r * self._cos[j])
+        return Hypothesis.NLOS if crosses else Hypothesis.LOS
+
+    @cached_property
+    def nlos(self) -> np.ndarray:
+        r = self._r[:, None]
+        return self.union & self._band.crossed_by(r * self._sin, r * self._cos)
+
+    @cached_property
+    def los(self) -> np.ndarray:
+        return self.union & ~self.nlos
 
 
 @dataclass
@@ -73,39 +141,42 @@ def build_masks(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
     biased short, since faded end cells drop out of the consensus, so the
     endpoint allowance exceeds the lateral one); a cell is NLOS when the
     segment from the radar to the cell meets that band, LOS when it does
-    not, and neither when the cell itself lies inside the band.
+    not, and neither when the cell itself lies inside the band.  Only the
+    band and the union of the two regions are computed here; the LOS/NLOS
+    labels are computed on demand (see FovMasks).
     """
     if not estimate.detected:
         raise ValueError("masks require a detected surface estimate")
 
-    r = ra_map.range_axis_m[:, None]
-    ang = np.radians(ra_map.angle_axis_deg[None, :])
+    r = ra_map.range_axis_m
+    ang = np.radians(ra_map.angle_axis_deg)
     with np.errstate(invalid="ignore"):
-        x = r * np.sin(ang)
-        y = r * np.cos(ang)
-    in_fov = ra_map.fov_mask() & (r > 0)
+        sin_a, cos_a = np.sin(ang), np.cos(ang)
 
     theta = math.radians(estimate.orientation_deg)
-    slope = math.tan(theta)
     ux, uy = math.cos(theta), math.sin(theta)
-    c_along = estimate.center_x * ux + estimate.center_y * uy
-    half = estimate.length / 2.0 + 2.5 * guard_m
+    band = _GuardBand(slope=math.tan(theta), intercept=estimate.intercept,
+                      ux=ux, uy=uy,
+                      c_along=estimate.center_x * ux + estimate.center_y * uy,
+                      half=estimate.length / 2.0 + 2.5 * guard_m,
+                      guard_m=guard_m)
+    union = ra_map.fov_mask() & (r[:, None] > 0)
+    # only rows within reach of the band can hold band cells; a range step
+    # of slack keeps rounding in the band test from mattering
+    low, high = band.radii()
+    step = ra_map.radar.max_range_m / MAP_SIZE
+    near = (r >= low - step) & (r <= high + step)
+    rows = r[near, None]
+    union[near] &= ~band.contains(rows * sin_a, rows * cos_a)
+    return FovMasks(union, r, sin_a, cos_a, band)
 
-    # strip coordinate (intercept offset) and along-segment coordinate
-    g = y - x * slope - estimate.intercept
-    s = x * ux + y * uy - c_along
-    in_band = (np.abs(g) <= guard_m) & (np.abs(s) <= half)
 
-    # does alpha * (x, y), alpha in [0, 1], enter the band?
-    lo1, hi1 = _interval(y - x * slope, -estimate.intercept, guard_m)
-    lo2, hi2 = _interval(x * ux + y * uy, -c_along, half)
-    lo = np.maximum(np.maximum(lo1, lo2), 0.0)
-    hi = np.minimum(np.minimum(hi1, hi2), 1.0)
-    crosses = lo <= hi
-
-    nlos = in_fov & crosses & ~in_band
-    los = in_fov & ~crosses & ~in_band
-    return FovMasks(los=los, nlos=nlos, guard_m=guard_m)
+def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
+    """(range bin, angle bin) of the strongest cell among ``valid`` cells."""
+    if not valid.any():
+        raise ValueError("mask union is empty")
+    flat = int(np.argmax(np.where(valid, ra_map.magnitude, -1.0)))
+    return divmod(flat, MAP_SIZE)
 
 
 def masked_argmax(ra_map: RangeAngleMap,
@@ -115,14 +186,9 @@ def masked_argmax(ra_map: RangeAngleMap,
     Returns (angle_deg, range_m, magnitude, region) where region labels the
     mask containing the winner.  Raises ValueError on an empty union.
     """
-    union = masks.union
-    if not union.any():
-        raise ValueError("mask union is empty")
-    flat = int(np.argmax(np.where(union, ra_map.magnitude, -1.0)))
-    i, j = divmod(flat, MAP_SIZE)
-    region = Hypothesis.NLOS if masks.nlos[i, j] else Hypothesis.LOS
+    i, j = _argmax_cell(ra_map, masks.union)
     return (float(ra_map.angle_axis_deg[j]), float(ra_map.range_axis_m[i]),
-            float(ra_map.magnitude[i, j]), region)
+            float(ra_map.magnitude[i, j]), masks.region(i, j))
 
 
 def decide(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
@@ -134,18 +200,12 @@ def decide(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
                                  LOS-region winner -> I0
     """
     if not estimate.detected:
-        valid = ra_map.fov_mask()
-        flat = int(np.argmax(np.where(valid, ra_map.magnitude, -1.0)))
-        i, j = divmod(flat, MAP_SIZE)
+        i, j = _argmax_cell(ra_map, ra_map.fov_mask())
         hyp = Hypothesis.LOS
     else:
         masks = build_masks(estimate, ra_map, guard_m)
-        union = masks.union
-        if not union.any():
-            raise ValueError("mask union is empty")
-        flat = int(np.argmax(np.where(union, ra_map.magnitude, -1.0)))
-        i, j = divmod(flat, MAP_SIZE)
-        hyp = Hypothesis.NLOS if masks.nlos[i, j] else Hypothesis.LOS
+        i, j = _argmax_cell(ra_map, masks.union)
+        hyp = masks.region(i, j)
 
     range_m = float(ra_map.range_axis_m[i])
     angle_deg = float(ra_map.angle_axis_deg[j])

@@ -105,7 +105,6 @@ class RadarEcho:
 
     samples: np.ndarray                       # (M_r, N) complex
     components: dict[str, np.ndarray] | None = None
-    target_illuminated: bool = True
 
 
 def steering_vector(angle_deg: float, num_elements: int, spacing: float,
@@ -298,6 +297,22 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     return draw.target_coeff * (amplitude / agg) * echo
 
 
+def _two_bounce_echo(reflectors: SurfacePointSet, radar: RadarConfig,
+                     surface: ReflectiveSurface, target_xy, draw: ScatterDraw,
+                     waveform: WaveformConfig, amplitude: float) -> np.ndarray:
+    """synthesize_target_echo, or zeros without a warning when the specular
+    point misses the segment and the target is therefore not illuminated.
+
+    Deciding illumination up front keeps ``synthesize`` off the process-wide
+    warnings filter, which concurrent trials would otherwise race on.
+    """
+    prp = solve_prp(surface, (0.0, 0.0), np.asarray(target_xy, dtype=float))
+    if not prp.on_segment:
+        return np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
+    return synthesize_target_echo(reflectors, radar, surface, target_xy, draw,
+                                  waveform, amplitude=amplitude)
+
+
 def synthesize_direct_echo(target_xy, radar: RadarConfig,
                            waveform: WaveformConfig, amplitude: float = 1.0,
                            coeff: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -315,6 +330,29 @@ def _noise(radar: RadarConfig, variance: float, rng: np.random.Generator) -> np.
     shape = (radar.num_rx, radar.num_samples)
     return math.sqrt(variance / 2.0) * (rng.standard_normal(shape)
                                         + 1j * rng.standard_normal(shape))
+
+
+def _range_angle(samples: np.ndarray, size: int) -> np.ndarray:
+    """Centred ``size`` x ``size`` transform of a frame, angle-major.
+
+    Element [p, q] holds direction-cosine bin p (a DFT of the receiver
+    channels, zero spatial frequency at row ``size // 2``) and range bin q
+    (a conjugate-sense DFT of fast time), both over the frame zero padded
+    to ``size``.  The result is bit-identical to the full padded transform:
+    the channel FFT runs only over the N fast-time columns that hold data,
+    since a zero column transforms to zeros (FFT input pruning); the
+    centring shift moves those N columns' spectra before the range
+    transform, which treats each row on its own; and the range transform
+    is left unscaled instead of scaled by 1/size and multiplied back, both
+    exact for a power of two.
+    """
+    m_r, n = samples.shape
+    if m_r > size or n > size:
+        raise ValueError(f"frame larger than the {size} x {size} transform")
+    # complex64 frames (read_echo) would otherwise transform in single precision
+    samples = samples.astype(complex, copy=False)
+    spatial = np.fft.fftshift(np.fft.fft(samples, n=size, axis=0), axes=0)
+    return np.fft.ifft(spatial, n=size, axis=1, norm="forward")
 
 
 def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
@@ -337,11 +375,7 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
     work = samples.astype(complex).copy()
     t_gate = 10.0 ** (stop_db / 20.0)
     for _ in range(max_components):
-        padded = np.zeros((pad, pad), dtype=complex)
-        padded[:m_r, :n] = work
-        z = np.fft.fftshift(np.fft.ifft(np.fft.fft(padded, axis=0), axis=1)
-                            * pad, axes=0)
-        mag = np.abs(z)
+        mag = np.abs(_range_angle(work, pad))
         if float(mag.max()) < float(np.median(mag)) * t_gate:
             break
         p, q = np.unravel_index(int(np.argmax(mag)), mag.shape)
@@ -385,7 +419,6 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
     target_amp = amplitude_for_snr(spec.snr.target_snr_db, radar, noise_var)
 
     components: dict[str, np.ndarray] = {}
-    illuminated = True
 
     if spec.surface is not None:
         points = discretize_surface(spec.surface, radar, rng_seed=seed_surface)
@@ -398,16 +431,9 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
         draw = ScatterDraw.draw(0, seed_draw, noise_variance=noise_var)
 
     if spec.scene_class is SceneClass.NLOS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                components["target"] = synthesize_target_echo(
-                    reflectors, radar, spec.surface, spec.target.xy, draw,
-                    waveform, amplitude=target_amp)
-            except UserWarning:
-                components["target"] = np.zeros(
-                    (radar.num_rx, radar.num_samples), dtype=complex)
-                illuminated = False
+        components["target"] = _two_bounce_echo(
+            reflectors, radar, spec.surface, spec.target.xy, draw, waveform,
+            amplitude=target_amp)
     elif spec.target is not None and spec.scene_class in (
             SceneClass.LOS_NO_SURFACE, SceneClass.LOS_SURFACE_NO_MP,
             SceneClass.LOS_SURFACE_MP):
@@ -420,11 +446,9 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
             ghost_draw = ScatterDraw(surface_coeffs=draw.surface_coeffs,
                                      target_coeff=draw.target_coeff,
                                      noise_variance=noise_var)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                components["ghost"] = synthesize_target_echo(
-                    reflectors, radar, spec.surface, spec.target.xy,
-                    ghost_draw, waveform, amplitude=ghost_amp)
+            components["ghost"] = _two_bounce_echo(
+                reflectors, radar, spec.surface, spec.target.xy, ghost_draw,
+                waveform, amplitude=ghost_amp)
 
     if include_noise:
         components["noise"] = _noise(radar, noise_var,
@@ -434,8 +458,7 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
     for part in components.values():
         samples = samples + part
     return RadarEcho(samples=samples,
-                     components=components if keep_components else None,
-                     target_illuminated=illuminated)
+                     components=components if keep_components else None)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,10 @@ def _stage1_ladder(echo, ra_map, spec: ScenarioSpec,
             noise_floor_db=options.noise_floor_db, max_range_m=gate)
         if est.detected:
             return est
-        deep = suppress_point_returns(echo.samples, spec.radar,
-                                      max_components=3 * options.stage1_clean)
+        # cancelling 3 * stage1_clean components from the raw frame passes
+        # through ``cleaned`` on the way, so continue from there
+        deep = suppress_point_returns(cleaned, spec.radar,
+                                      max_components=2 * options.stage1_clean)
         est = estimate_surface(
             compute_ra_map(deep, spec.radar), k=k, method=options.estimator,
             config=relaxed, min_length=options.min_length,
@@ -359,19 +361,20 @@ def _aggregate(value: float, records: list[TrialRecord]) -> dict:
     ok = [r for r in records if r.ok]
     truth_nlos = [r for r in ok if r.scene_class is SceneClass.NLOS]
     truth_los = [r for r in ok if r.scene_class is not SceneClass.NLOS]
+    located = truth_nlos if truth_nlos else ok      # basis of every position error
+    walled = [r.estimate.detected for r in ok
+              if r.truth_surface is not None and r.estimate is not None]
     row: dict = {
         "value": value,
         "trials": len(records),
         "failures": len(records) - len(ok),
-        "rmse_d": rmse_d(truth_nlos if truth_nlos else ok),
-        "se_rmse_d": rmse_d_standard_error(truth_nlos if truth_nlos else ok),
-        "rmse_x": rmse(r.error_x for r in ok if r.error_x is not None),
-        "rmse_y": rmse(r.error_y for r in ok if r.error_y is not None),
+        "rmse_d": rmse_d(located),
+        "se_rmse_d": rmse_d_standard_error(located),
+        "rmse_x": rmse(r.error_x for r in located if r.error_x is not None),
+        "rmse_y": rmse(r.error_y for r in located if r.error_y is not None),
         "pr_i1_i1": identification_rate(truth_nlos),
         "pr_i1_i0": identification_rate(truth_los),
-        "detect_rate": (float(np.mean([r.estimate.detected for r in ok
-                                       if r.estimate is not None]))
-                        if ok else float("nan")),
+        "detect_rate": float(np.mean(walled)) if walled else float("nan"),
     }
     surf = [r.surface_errors for r in ok if r.surface_errors is not None]
     row["rmse_surface_theta_deg"] = rmse(s["theta_deg"] for s in surf)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .echo import RadarEcho
+from .echo import RadarEcho, _range_angle
 from .geometry import RadarConfig
 
 MAP_SIZE = 512
@@ -84,11 +84,16 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     detection map is always formed without a taper; the tapered variants
     exist for peak extraction in the presence of a point return strong
     enough that its sidelobes bury the distributed surface ridge.
+
+    The transform is pruned (``echo._range_angle``): of the 512 zero-padded
+    fast-time columns only the N that hold samples go through the channel
+    FFT, because the DFT of an all-zero column is exactly zero.  Every other
+    operation is one the full 512 x 512 transform performs on the same
+    values, and scaling the range axis by 1/512 and back by 512 (powers of
+    two) is skipped, so the map is bit-identical to the unpruned transform.
     """
     samples = echo.samples if isinstance(echo, RadarEcho) else np.asarray(echo)
     m_r, n = samples.shape
-    if m_r > MAP_SIZE or n > MAP_SIZE:
-        raise ValueError("frame larger than the 512 x 512 transform")
     if window in ("hann", "hann2d"):
         # nonzero-endpoint taper: every channel keeps some weight
         samples = samples * np.hanning(m_r + 2)[1:-1][:, None]
@@ -96,12 +101,7 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
             samples = samples * np.hanning(n + 2)[1:-1][None, :]
     elif window is not None:
         raise ValueError(f"unknown window {window!r}")
-    padded = np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex)
-    padded[:m_r, :n] = samples
-    spatial = np.fft.fft(padded, axis=0)                    # channel -> angle
-    z = np.fft.ifft(spatial, axis=1) * MAP_SIZE             # fast time -> range
-    z = np.fft.fftshift(z, axes=0)
-    return RangeAngleMap(z.T.copy(), radar)
+    return RangeAngleMap(_range_angle(samples, MAP_SIZE).T.copy(), radar)
 
 
 def _local_maxima(mag: np.ndarray) -> np.ndarray:

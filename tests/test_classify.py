@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,8 @@ def strip_surface():
                              orientation_deg=0.0)
 
 
-from conftest import brute_force_label  # noqa: E402 - shared test oracle
+from conftest import brute_force_label, rayleigh_field  # noqa: E402 - shared test oracle
+from nlosradar.classify import _interval  # noqa: E402
 
 
 def test_masks_disjoint_and_guard_excluded(radar, strip_surface):
@@ -97,6 +100,89 @@ def test_masks_match_brute_force(radar):
         assert got == expected, (surf, cell)
         checked += 1
     assert checked > 80
+
+
+def _reference_masks(estimate, ra_map, guard_m):
+    """(los, nlos): the ray test evaluated for every cell of the map at once."""
+    r = ra_map.range_axis_m[:, None]
+    ang = np.radians(ra_map.angle_axis_deg[None, :])
+    with np.errstate(invalid="ignore"):
+        x = r * np.sin(ang)
+        y = r * np.cos(ang)
+    in_fov = ra_map.fov_mask() & (r > 0)
+    theta = math.radians(estimate.orientation_deg)
+    slope = math.tan(theta)
+    ux, uy = math.cos(theta), math.sin(theta)
+    c_along = estimate.center_x * ux + estimate.center_y * uy
+    half = estimate.length / 2.0 + 2.5 * guard_m
+    g = y - x * slope - estimate.intercept
+    s = x * ux + y * uy - c_along
+    in_band = (np.abs(g) <= guard_m) & (np.abs(s) <= half)
+    lo1, hi1 = _interval(y - x * slope, -estimate.intercept, guard_m)
+    lo2, hi2 = _interval(x * ux + y * uy, -c_along, half)
+    lo = np.maximum(np.maximum(lo1, lo2), 0.0)
+    hi = np.minimum(np.minimum(hi1, hi2), 1.0)
+    crosses = lo <= hi
+    return in_fov & ~crosses & ~in_band, in_fov & crosses & ~in_band
+
+
+def _random_walls(seed, count):
+    rng = np.random.default_rng(seed)
+    walls = [ReflectiveSurface(center_x=0.0, center_y=10.0, length=4.0,
+                               orientation_deg=0.0)]
+    while len(walls) < count:
+        walls.append(ReflectiveSurface(center_x=rng.uniform(-6, 6),
+                                       center_y=rng.uniform(6, 30),
+                                       length=rng.uniform(1, 13),
+                                       orientation_deg=rng.uniform(0, 75)))
+    return walls
+
+
+def test_masks_identical_to_full_ray_test(radar):
+    m = _flat_map(radar)
+    for k, surf in enumerate(_random_walls(41, 30)):
+        guard_m = (0.5, 1.0, 2.0)[k % 3]
+        masks = build_masks(_estimate(surf), m, guard_m=guard_m)
+        los, nlos = _reference_masks(_estimate(surf), m, guard_m)
+        assert np.array_equal(masks.union, los | nlos), surf
+        assert np.array_equal(masks.nlos, nlos), surf
+        assert np.array_equal(masks.los, los), surf
+
+
+def test_on_demand_region_matches_masks(radar):
+    m = _flat_map(radar)
+    for surf in _random_walls(42, 6):
+        masks = build_masks(_estimate(surf), m, guard_m=1.0)
+        assert np.array_equal(masks.los | masks.nlos, masks.union)
+        assert not np.any(masks.los & masks.nlos)
+        # every cell where the label flips between neighbours, and a lattice
+        # (one call per cell: all ~2e5 union cells would take seconds)
+        probe = np.zeros_like(masks.nlos)
+        probe[1:] |= masks.nlos[1:] != masks.nlos[:-1]
+        probe[:, 1:] |= masks.nlos[:, 1:] != masks.nlos[:, :-1]
+        probe[::7, ::7] = True
+        cells = np.argwhere(probe & masks.union)
+        assert len(cells) > 1000
+        for i, j in cells:
+            expected = Hypothesis.NLOS if masks.nlos[i, j] else Hypothesis.LOS
+            assert masks.region(i, j) is expected, (surf, i, j)
+    with pytest.raises(ValueError):
+        masks.region(0, 0)              # range zero is never in the union
+
+
+def test_decide_region_matches_masks(radar):
+    for k, surf in enumerate(_random_walls(43, 12)):
+        m = RangeAngleMap(rayleigh_field((MAP_SIZE, MAP_SIZE), seed=k)
+                          .astype(complex), radar)
+        est = _estimate(surf)
+        dec = decide(est, m, guard_m=1.0)
+        masks = build_masks(est, m, guard_m=1.0)
+        i, j = dec.peak_range_bin, dec.peak_angle_bin
+        assert masks.union[i, j]
+        assert dec.hypothesis is (Hypothesis.NLOS if masks.nlos[i, j]
+                                  else Hypothesis.LOS)
+        _, _, mag, region = masked_argmax(m, masks)
+        assert (mag, region) == (dec.peak_magnitude, dec.hypothesis)
 
 
 def test_masked_argmax_nlos_impulse(radar, strip_surface):

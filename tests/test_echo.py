@@ -18,6 +18,7 @@ from nlosradar import (
     polar_to_xy,
     read_echo,
     scattering_gain,
+    scenario_from_doc,
     solve_prp,
     steering_vector,
     synthesize,
@@ -27,8 +28,14 @@ from nlosradar import (
     target_from_prp,
     write_echo,
 )
-from nlosradar.echo import ScatterDraw, WaveformConfig, suppress_point_returns
+from nlosradar.echo import (
+    ScatterDraw,
+    WaveformConfig,
+    _range_angle,
+    suppress_point_returns,
+)
 from nlosradar.geometry import discretize_surface, effective_reflectors
+from nlosradar.harness import reference_scene_doc
 
 
 @pytest.fixture
@@ -313,3 +320,32 @@ def test_suppress_point_returns_removes_dominant(radar, waveform):
     i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
     assert abs(m.range_axis_m[i] - 15.0) < 1.0
     assert abs(m.angle_axis_deg[j] + 20.0) < 2.0
+
+
+def test_range_angle_transform_bit_identical_to_full_256():
+    rng = np.random.default_rng(8)
+    for shape in ((16, 128), (8, 64), (256, 256)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        padded = np.zeros((256, 256), dtype=complex)
+        padded[:shape[0], :shape[1]] = x
+        full = np.fft.fftshift(np.fft.ifft(np.fft.fft(padded, axis=0), axis=1)
+                               * 256, axes=0)
+        assert np.array_equal(_range_angle(x, 256), full)
+    with pytest.raises(ValueError):
+        _range_angle(np.zeros((16, 300), dtype=complex), 256)
+
+
+def test_suppress_point_returns_continues_exactly():
+    """Cancelling 8 components and then 16 more is cancelling 24 at once,
+    which lets Stage I's deep rung start from its first rung's frame."""
+    continued = 0
+    for seed, delta_db in ((1, 20.0), (2, 30.0), (3, 40.0), (4, 40.0)):
+        spec = scenario_from_doc(reference_scene_doc(30.0, 30.0 + delta_db))
+        x = synthesize(spec.with_seed(seed)).samples
+        radar = spec.radar
+        first = suppress_point_returns(x, radar, max_components=8)
+        deep = suppress_point_returns(x, radar, max_components=24)
+        assert np.array_equal(
+            suppress_point_returns(first, radar, max_components=16), deep)
+        continued += not np.array_equal(first, deep)
+    assert continued > 0

@@ -33,6 +33,14 @@ def test_radar_config_validation():
         RadarConfig(num_samples=1)
 
 
+def test_radar_config_rejects_multiple_transmitters():
+    # the synthesizer has no TX dimension, so a calibration that counted
+    # two transmitters would deliver 3 dB less SNR than configured
+    for num_tx in (0, 2):
+        with pytest.raises(ValueError, match="num_tx"):
+            RadarConfig(num_tx=num_tx)
+
+
 def test_surface_validation():
     with pytest.raises(ValueError):
         ReflectiveSurface(0, 10, length=-1, orientation_deg=10)

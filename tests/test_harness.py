@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,15 +10,20 @@ from nlosradar import (
     Hypothesis,
     PointTarget,
     RadarConfig,
+    ReflectiveSurface,
     SceneClass,
     ScenarioSpec,
     SnrSpec,
+    SurfaceEstimate,
     randomize_scenario,
     scenario_from_doc,
 )
+from nlosradar.classify import HypothesisDecision
 from nlosradar.harness import (
     PipelineOptions,
     SweepSpec,
+    TrialRecord,
+    _aggregate,
     default_k,
     identification_rate,
     reference_scene_doc,
@@ -181,3 +189,70 @@ def test_snr_w_sweep_sets_surface_level():
                       trials_per_point=1, base_scene=reference_scene_doc())
     _, recs = run_sweep(sweep, PipelineOptions(), keep_records=True)
     assert recs[0][0].snr_surface_db == pytest.approx(22.0)
+
+
+def _hand_record(scene_class, walled, detected, error_xy, decided_nlos):
+    surface = (2.0, 18.0, 8.0, 25.0) if walled else None
+    est = (SurfaceEstimate.from_truth(ReflectiveSurface(2.0, 18.0, 8.0, 25.0))
+           if detected else SurfaceEstimate.not_detected("ransac"))
+    hyp = Hypothesis.NLOS if decided_nlos else Hypothesis.LOS
+    ex, ey = error_xy
+    return TrialRecord(
+        scene_class=scene_class, seed=0, snr_surface_db=30.0,
+        snr_target_db=50.0, truth_target=(0.0, 30.0), truth_surface=surface,
+        estimate=est, decision=HypothesisDecision(hyp, 0.0, 30.0, 1.0, 320, 256),
+        error_x=ex, error_y=ey, error_d=math.hypot(ex, ey))
+
+
+def test_aggregate_identification_bases():
+    records = [
+        _hand_record(SceneClass.NLOS, True, True, (3.0, 4.0), True),
+        _hand_record(SceneClass.NLOS, True, False, (0.0, 2.0), False),
+        _hand_record(SceneClass.LOS_NO_SURFACE, False, False, (10.0, 10.0), False),
+        _hand_record(SceneClass.LOS_SURFACE_MP, True, True, (6.0, 8.0), True),
+        TrialRecord(scene_class=SceneClass.NLOS, seed=1, snr_surface_db=30.0,
+                    snr_target_db=50.0, truth_target=(0.0, 30.0),
+                    truth_surface=(2.0, 18.0, 8.0, 25.0), error="ValueError: x"),
+    ]
+    row = _aggregate(20.0, records)
+    assert (row["trials"], row["failures"]) == (5, 1)
+    # detection over the three scenes that have a wall, not all four
+    assert row["detect_rate"] == pytest.approx(2 / 3)
+    # every position error over the same truth-NLOS trials
+    assert row["rmse_x"] == pytest.approx(math.sqrt((9.0 + 0.0) / 2))
+    assert row["rmse_y"] == pytest.approx(math.sqrt((16.0 + 4.0) / 2))
+    assert row["rmse_d"] == pytest.approx(math.sqrt((25.0 + 4.0) / 2))
+    assert math.hypot(row["rmse_x"], row["rmse_y"]) == pytest.approx(row["rmse_d"])
+    assert row["pr_i1_i1"] == pytest.approx(0.5)
+    assert row["pr_i1_i0"] == pytest.approx(0.5)
+
+
+def test_aggregate_wall_free_point_has_no_detect_rate():
+    rec = _hand_record(SceneClass.LOS_NO_SURFACE, False, False, (1.0, 1.0), False)
+    assert math.isnan(_aggregate(0.0, [rec])["detect_rate"])
+
+
+def test_threaded_sweep_leaves_warning_filters_alone():
+    """Concurrent trials must not touch the process-wide warnings filters:
+    a save-and-restore of that list in one thread can reinstate a filter
+    another thread set meanwhile.  More threads than cores and a frequent
+    thread switch provoke it; four threaded runs of 16 trials take seconds."""
+    options = PipelineOptions()
+    sweep = sweep_identification(grid=(20.0,), trials_per_point=8, seed=0)
+
+    def comparable(by_point):
+        return [dataclasses.replace(r, timings_ms={}) for p in by_point for r in p]
+
+    expected = comparable(run_sweep(sweep, options, keep_records=True)[1])
+    with warnings.catch_warnings():
+        before = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                _, threaded = run_sweep(sweep, options, workers=8,
+                                        keep_records=True)
+                assert warnings.filters == before
+                assert comparable(threaded) == expected
+        finally:
+            sys.setswitchinterval(interval)

@@ -3,6 +3,7 @@ import pytest
 
 from nlosradar import (
     MAP_SIZE,
+    RadarConfig,
     RangeAngleMap,
     compute_ra_map,
     extract_peaks,
@@ -46,6 +47,41 @@ def test_boresight_scatterer_bins(radar, waveform):
     assert (i, j) == (160, 256)
     assert m.magnitude[i, j] == pytest.approx(radar.num_rx * radar.num_samples,
                                               rel=1e-9)
+
+
+def _unpruned_values(samples, window=None):
+    """The full zero-padded 512 x 512 transform, FFT over every column."""
+    m_r, n = samples.shape
+    if window in ("hann", "hann2d"):
+        samples = samples * np.hanning(m_r + 2)[1:-1][:, None]
+        if window == "hann2d":
+            samples = samples * np.hanning(n + 2)[1:-1][None, :]
+    padded = np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex)
+    padded[:m_r, :n] = samples
+    spatial = np.fft.fft(padded, axis=0)
+    z = np.fft.ifft(spatial, axis=1) * MAP_SIZE
+    z = np.fft.fftshift(z, axes=0)
+    return z.T.copy()
+
+
+@pytest.mark.parametrize("window", [None, "hann", "hann2d"])
+@pytest.mark.parametrize("shape", [{}, {"num_rx": 8, "num_samples": 64}])
+def test_pruned_transform_bit_identical_to_full(shape, window):
+    radar = RadarConfig(**shape)
+    rng = np.random.default_rng(21)
+    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
+    frames = [synthesize_direct_echo(polar_to_xy(17.0, -12.0), radar, waveform)]
+    for scale_exp in (-4, 0, 5):
+        size = (radar.num_rx, radar.num_samples)
+        frames.append(10.0**scale_exp * (rng.standard_normal(size)
+                                         + 1j * rng.standard_normal(size)))
+    frames.append(frames[-1].real.astype(np.float32))
+    for x in frames:
+        m = compute_ra_map(x, radar, window=window)
+        expected = _unpruned_values(x, window)
+        assert m.values.dtype == expected.dtype
+        assert np.array_equal(m.values, expected)
+        assert np.array_equal(m.magnitude, np.abs(expected))
 
 
 def test_axes(radar):

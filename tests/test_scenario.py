@@ -198,6 +198,16 @@ def test_radar_overrides_respected():
     assert spec.radar.range_bin_m == pytest.approx(0.75)
 
 
+def test_scene_file_with_two_transmitters_rejected():
+    doc = {"radar": {"num_tx": 2},
+           "target": {"x": 0.0, "y": 10.0},
+           "snr": {"surface_db": 30.0, "target_db": 50.0}}
+    with pytest.raises(ValueError, match="num_tx"):
+        scenario_from_doc(doc)
+    doc["radar"]["num_tx"] = 1
+    assert scenario_from_doc(doc).radar.num_tx == 1
+
+
 def test_phi_draw_within_surface_extent():
     for seed in range(60):
         spec = randomize_scenario(SceneClass.NLOS, seed)
