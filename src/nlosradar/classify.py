@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .ramap import MAP_SIZE, RangeAngleMap, refine_peak_quadratic
+from .ramap import (MAP_SIZE, RangeAngleMap, _argmax_cell,
+                    refine_peak_quadratic)
 from .surface import SurfaceEstimate
 
 
@@ -169,14 +170,6 @@ def build_masks(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
     rows = r[near, None]
     union[near] &= ~band.contains(rows * sin_a, rows * cos_a)
     return FovMasks(union, r, sin_a, cos_a, band)
-
-
-def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
-    """(range bin, angle bin) of the strongest cell among ``valid`` cells."""
-    if not valid.any():
-        raise ValueError("mask union is empty")
-    flat = int(np.argmax(np.where(valid, ra_map.magnitude, -1.0)))
-    return divmod(flat, MAP_SIZE)
 
 
 def masked_argmax(ra_map: RangeAngleMap,

@@ -360,13 +360,31 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
                            stop_db: float = 18.0) -> np.ndarray:
     """Successively cancel dominant point returns from a frame.
 
-    Finds the strongest cell of a coarsely padded transform, subtracts the
-    least-squares matched rank-one response (steering vector times beat
-    vector) at that cell, and repeats while the residual peak stays
-    ``stop_db`` above the median map magnitude, up to ``max_components``
-    times.  Removing a return this way removes its entire sidelobe
-    structure, which lets the distributed surface ridge be searched behind
-    a much stronger point reflection.  Operates on a copy.
+    Finds the strongest cell of a coarsely padded (256 x 256) transform,
+    subtracts the least-squares matched rank-one response (steering vector
+    times beat vector) at that cell, and repeats while the residual peak
+    stays ``stop_db`` above the median map magnitude, up to
+    ``max_components`` times.  Removing a return this way removes its
+    entire sidelobe structure, which lets the distributed surface ridge be
+    searched behind a much stronger point reflection.  Operates on a copy.
+
+    The transform is formed once per call and kept current: removing
+    ``amp * outer(a, b)`` from the frame removes the separable
+    ``amp * outer(fftshift(fft(a)), ifft(b, norm="forward"))`` from its
+    spectrum, so a step costs an outer-product update, not a transform.
+    The stop test ``peak < median * gate`` is decided by counting: when
+    more than half the cells lie below ``peak / gate`` the median does
+    too, and the loop goes on without sorting anything.
+
+    The updated spectrum drifts from a fresh transform of the residual by
+    rounding, which can move the argmax once the residual is itself
+    rounding noise.  The result is kept bit-identical to transforming the
+    residual afresh at every step by a guard of ``tol = 1e-9`` times the
+    first peak, far above that drift: the updated spectrum decides a step
+    only when its best cell leads every other by more than ``2 * tol``
+    and the count clears the gate with ``(1 + gate) * tol`` to spare.  Any
+    other step transforms the residual afresh and, when the count cannot
+    decide, compares the peak with the exact median.
     """
     waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     m_r, n = samples.shape
@@ -374,11 +392,22 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
     du = radar.element_spacing / radar.carrier_wavelength
     work = samples.astype(complex).copy()
     t_gate = 10.0 ** (stop_db / 20.0)
-    for _ in range(max_components):
-        mag = np.abs(_range_angle(work, pad))
-        if float(mag.max()) < float(np.median(mag)) * t_gate:
+    spectrum = _range_angle(work, pad)
+    mag = np.abs(spectrum)
+    tol = 1e-9 * float(mag.max())
+    exact = True
+    for step in range(max_components):
+        flat = int(np.argmax(mag))
+        if not exact and not _updated_decides(mag, flat, tol, t_gate):
+            spectrum = _range_angle(work, pad)
+            mag = np.abs(spectrum)
+            flat = int(np.argmax(mag))
+            exact = True
+        peak = float(mag.flat[flat])
+        if exact and not _count_clears(mag, peak, t_gate) \
+                and peak < float(np.median(mag)) * t_gate:
             break
-        p, q = np.unravel_index(int(np.argmax(mag)), mag.shape)
+        p, q = divmod(flat, pad)
         u = (p - pad // 2) / (pad * du)
         if abs(u) > 1.0:
             break
@@ -389,7 +418,33 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
         sig = np.outer(a, b)
         amp = np.vdot(sig, work) / (m_r * n)
         work -= amp * sig
+        if step + 1 < max_components:
+            spectrum -= np.outer(amp * np.fft.fftshift(np.fft.fft(a, n=pad)),
+                                 np.fft.ifft(b, n=pad, norm="forward"))
+            mag = np.abs(spectrum)
+            exact = False
     return work
+
+
+def _count_clears(mag: np.ndarray, peak: float, t_gate: float,
+                  slack: float = 0.0) -> bool:
+    """Do more than half the cells lie below ``peak / t_gate``, with room
+    for a map ``slack`` off the exact one in any cell?  Then the exact
+    median does too, and ``peak < median * t_gate`` is false."""
+    gate = (peak - (1.0 + t_gate) * slack) / t_gate
+    return int(np.count_nonzero(mag < gate)) > mag.size // 2
+
+
+def _updated_decides(mag: np.ndarray, flat: int, tol: float,
+                     t_gate: float) -> bool:
+    """Does an updated spectrum within ``tol`` of the fresh one give the
+    fresh one's step: the same argmax cell, and a peak above the gate?"""
+    peak = float(mag.flat[flat])
+    mag.flat[flat] = -1.0
+    runner_up = float(mag.max())
+    mag.flat[flat] = peak
+    return peak - runner_up > 2.0 * tol \
+        and _count_clears(mag, peak, t_gate, slack=tol)
 
 
 def synthesize(spec: ScenarioSpec, keep_components: bool = False,

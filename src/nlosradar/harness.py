@@ -24,7 +24,7 @@ import numpy as np
 from .classify import Hypothesis, HypothesisDecision, decide
 from .echo import suppress_point_returns, synthesize
 from .localize import LocalizationResult, localize
-from .ramap import compute_ra_map
+from .ramap import _argmax_cell, compute_ra_map
 from .scenario import (
     SceneClass,
     ScenarioSpec,
@@ -116,8 +116,8 @@ def _stage1_ladder(echo, ra_map, spec: ScenarioSpec,
         if est.detected:
             return est
 
-    flat = int(np.argmax(np.where(ra_map.fov_mask(), ra_map.magnitude, -1.0)))
-    gate = float(ra_map.range_axis_m[flat // ra_map.magnitude.shape[1]]) - 4.5
+    i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
+    gate = float(ra_map.range_axis_m[i]) - 4.5
     if gate > 4.0:
         wide = replace(relaxed,
                        inlier_threshold=2.0 * cfg.inlier_threshold)

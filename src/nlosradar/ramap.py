@@ -104,17 +104,12 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     return RangeAngleMap(_range_angle(samples, MAP_SIZE).T.copy(), radar)
 
 
-def _local_maxima(mag: np.ndarray) -> np.ndarray:
-    """Cells at least as large as every 3 x 3 neighbor (map edges excluded)."""
-    out = np.zeros_like(mag, dtype=bool)
-    c = mag[1:-1, 1:-1]
-    out[1:-1, 1:-1] = (
-        (c >= mag[:-2, 1:-1]) & (c >= mag[2:, 1:-1])
-        & (c >= mag[1:-1, :-2]) & (c >= mag[1:-1, 2:])
-        & (c >= mag[:-2, :-2]) & (c >= mag[:-2, 2:])
-        & (c >= mag[2:, :-2]) & (c >= mag[2:, 2:])
-    )
-    return out
+def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
+    """(range bin, angle bin) of the strongest cell among ``valid`` cells."""
+    if not valid.any():
+        raise ValueError("no valid cell to search")
+    flat = int(np.argmax(np.where(valid, ra_map.magnitude, -1.0)))
+    return divmod(flat, MAP_SIZE)
 
 
 def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
@@ -142,12 +137,22 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
         return []
     floor = float(np.median(searchable)) * 10.0 ** (noise_floor_db / 20.0)
 
-    cand = _local_maxima(mag)
+    # a candidate is an interior cell above the floor that is at least as
+    # large as each of its 3 x 3 neighbors; only cells above the floor are
+    # compared, in row-major order
+    above = mag[1:-1, 1:-1] > floor
     if valid is not None:
-        cand &= valid
-    cand &= mag > floor
-    ci, cj = np.nonzero(cand)
+        above &= valid[1:-1, 1:-1]
+    ci, cj = np.nonzero(above)
+    ci += 1
+    cj += 1
     cmag = mag[ci, cj]
+    local = np.ones(ci.size, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                local &= cmag >= mag[ci + di, cj + dj]
+    ci, cj, cmag = ci[local], cj[local], cmag[local]
     order = np.argsort(cmag, kind="stable")[::-1]
     ci, cj, cmag = ci[order], cj[order], cmag[order]
 

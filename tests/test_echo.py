@@ -29,13 +29,16 @@ from nlosradar import (
     write_echo,
 )
 from nlosradar.echo import (
+    SPEED_OF_LIGHT,
     ScatterDraw,
     WaveformConfig,
+    _beat,
     _range_angle,
     suppress_point_returns,
 )
 from nlosradar.geometry import discretize_surface, effective_reflectors
 from nlosradar.harness import reference_scene_doc
+from nlosradar.scenario import randomize_scenario
 
 
 @pytest.fixture
@@ -349,3 +352,108 @@ def test_suppress_point_returns_continues_exactly():
             suppress_point_returns(first, radar, max_components=16), deep)
         continued += not np.array_equal(first, deep)
     assert continued > 0
+
+
+def _reference_suppress(samples, radar, max_components=6, stop_db=18.0):
+    """The cancellation loop that transforms the residual afresh and takes
+    the full-map median at every step."""
+    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
+    m_r, n = samples.shape
+    pad = 256
+    du = radar.element_spacing / radar.carrier_wavelength
+    work = samples.astype(complex).copy()
+    t_gate = 10.0 ** (stop_db / 20.0)
+    for _ in range(max_components):
+        mag = np.abs(_range_angle(work, pad))
+        if float(mag.max()) < float(np.median(mag)) * t_gate:
+            break
+        p, q = np.unravel_index(int(np.argmax(mag)), mag.shape)
+        u = (p - pad // 2) / (pad * du)
+        if abs(u) > 1.0:
+            break
+        r = q * radar.max_range_m / pad
+        a = steering_vector(math.degrees(math.asin(u)), m_r,
+                            radar.element_spacing, radar.carrier_wavelength)
+        b = _beat(np.array(2.0 * r / SPEED_OF_LIGHT), waveform, n).ravel()
+        sig = np.outer(a, b)
+        amp = np.vdot(sig, work) / (m_r * n)
+        work -= amp * sig
+    return work
+
+
+def _on_grid_returns(radar, returns):
+    """Noiseless point returns, (angle bin, range bin, amplitude) each,
+    centred on cells of the 256-point transform, so that cancelling them
+    leaves nothing but rounding noise."""
+    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
+    du = radar.element_spacing / radar.carrier_wavelength
+    frame = np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
+    for p, q, amplitude in returns:
+        a = steering_vector(math.degrees(math.asin((p - 128) / (256 * du))),
+                            radar.num_rx, radar.element_spacing,
+                            radar.carrier_wavelength)
+        b = _beat(np.array(2.0 * q * radar.max_range_m / 256 / SPEED_OF_LIGHT),
+                  waveform, radar.num_samples).ravel()
+        frame += amplitude * np.outer(a, b)
+    return frame
+
+
+@pytest.fixture(scope="module")
+def cancellation_frames():
+    frames = []
+    for seed, delta_db in enumerate((10.0, 20.0, 30.0, 40.0)):
+        spec = scenario_from_doc(reference_scene_doc(30.0, 30.0 + delta_db))
+        frames.append(synthesize(spec.with_seed(seed)).samples)
+    for seed, cls in enumerate((SceneClass.NLOS, SceneClass.LOS_NO_SURFACE,
+                                SceneClass.LOS_SURFACE_MP) * 2):
+        spec = randomize_scenario(cls, 50 + seed, preset="identification",
+                                  snr=SnrSpec(30.0, 30.0 + 10.0 * seed))
+        frames.append(synthesize(spec).samples)
+    radar = RadarConfig()
+    rng = np.random.default_rng(3)
+    for i in range(9):
+        frames.append(_on_grid_returns(radar, [
+            (int(rng.integers(90, 166)), int(rng.integers(10, 200)),
+             100.0 * rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform()))
+            for _ in range(1 + i % 3)]))
+    # two equal returns behind a strong one: near-ties for the argmax
+    frames.append(_on_grid_returns(radar, [(120, 60, 100.0), (140, 90, 50j),
+                                           (100, 150, -50.0)]))
+    frames.append(_on_grid_returns(radar, [(156, 93, 100.0), (103, 47, 50.0),
+                                           (155, 47, -50.0)]))
+    # single precision: a noisy scene and a noiseless three-return frame
+    frames.append(frames[0].astype(np.complex64))
+    frames.append(frames[12].astype(np.complex64))
+    return radar, frames
+
+
+@pytest.mark.parametrize("max_components", (8, 24))
+@pytest.mark.parametrize("stop_db", (6.0, 18.0, 30.0))
+def test_suppress_point_returns_matches_fresh_transform_loop(
+        cancellation_frames, stop_db, max_components):
+    """The running spectrum and the count-decided stop cancel exactly the
+    components a fresh transform and the full median would, bit for bit,
+    also on noiseless frames whose residual ends as rounding noise."""
+    radar, frames = cancellation_frames
+    for frame in frames:
+        assert np.array_equal(
+            suppress_point_returns(frame, radar, max_components, stop_db),
+            _reference_suppress(frame, radar, max_components, stop_db))
+
+
+def test_suppress_point_returns_matches_on_the_stop_gate():
+    """With the stop gate set to a step's own peak-to-median ratio, the
+    stop decision rests on the last bits of the median; the count-decided
+    stop must still make the fresh transform's decision."""
+    spec = scenario_from_doc(reference_scene_doc(30.0, 50.0))
+    radar = spec.radar
+    for seed in range(4):
+        x = synthesize(spec.with_seed(seed)).samples
+        for steps in (1, 2):
+            mag = np.abs(_range_angle(
+                _reference_suppress(x, radar, steps, stop_db=0.0), 256))
+            stop_db = 20.0 * math.log10(float(mag.max())
+                                        / float(np.median(mag)))
+            assert np.array_equal(
+                suppress_point_returns(x, radar, steps + 2, stop_db),
+                _reference_suppress(x, radar, steps + 2, stop_db))

@@ -17,6 +17,8 @@ from nlosradar import (
 from nlosradar.echo import WaveformConfig
 from nlosradar.ramap import Peak
 
+from conftest import rayleigh_field  # noqa: E402 - shared test field
+
 
 @pytest.fixture
 def waveform(radar):
@@ -142,6 +144,76 @@ def test_extract_peaks_are_local_maxima(radar, waveform):
         i, j = p.range_bin, p.angle_bin
         patch = mag[i - 1:i + 2, j - 1:j + 2]
         assert mag[i, j] >= patch.max()
+
+
+def _local_maxima(mag):
+    """Cells at least as large as every 3 x 3 neighbor (map edges excluded)."""
+    out = np.zeros_like(mag, dtype=bool)
+    c = mag[1:-1, 1:-1]
+    out[1:-1, 1:-1] = (
+        (c >= mag[:-2, 1:-1]) & (c >= mag[2:, 1:-1])
+        & (c >= mag[1:-1, :-2]) & (c >= mag[1:-1, 2:])
+        & (c >= mag[:-2, :-2]) & (c >= mag[:-2, 2:])
+        & (c >= mag[2:, :-2]) & (c >= mag[2:, 2:])
+    )
+    return out
+
+
+def _reference_peaks(ra_map, k, exclusion_radius_bins, noise_floor_db,
+                     valid):
+    """extract_peaks with the local-maximum test run over the whole map."""
+    mag = ra_map.magnitude
+    searchable = mag if valid is None else mag[valid]
+    floor = float(np.median(searchable)) * 10.0 ** (noise_floor_db / 20.0)
+    cand = _local_maxima(mag)
+    if valid is not None:
+        cand &= valid
+    cand &= mag > floor
+    ci, cj = np.nonzero(cand)
+    cmag = mag[ci, cj]
+    order = np.argsort(cmag, kind="stable")[::-1]
+    ci, cj, cmag = ci[order], cj[order], cmag[order]
+    alive = np.ones(ci.size, dtype=bool)
+    peaks = []
+    for idx in range(ci.size):
+        if len(peaks) == k:
+            break
+        if not alive[idx]:
+            continue
+        i, j = int(ci[idx]), int(cj[idx])
+        peaks.append(Peak(i, j, float(cmag[idx]),
+                          float(ra_map.range_axis_m[i]),
+                          float(ra_map.angle_axis_deg[j])))
+        alive &= ((ci - i)**2 + (cj - j)**2) > exclusion_radius_bins**2
+    return peaks
+
+
+def test_extract_peaks_matches_full_map_local_maxima(radar):
+    """Testing only the cells above the floor finds the peaks, in the
+    order, that the local-maximum test over the whole map finds, also on
+    plateaus, ties and map edges."""
+    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
+    gated = fov & (np.arange(MAP_SIZE)[:, None] < 300)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for seed in range(4):
+        # quantized Rayleigh magnitudes: plateaus and exact ties
+        mag = np.round(4.0 * rayleigh_field((MAP_SIZE, MAP_SIZE), seed)) / 4.0
+        # strong cells on and next to every edge
+        mag[0, 40] = mag[MAP_SIZE - 1, 90] = mag[200, 0] = 50.0
+        mag[300, MAP_SIZE - 1] = mag[1, 1] = mag[MAP_SIZE - 2, 300] = 40.0
+        mag[100, 100] = mag[100, 101] = 30.0        # a two-cell plateau
+        ra_map = RangeAngleMap(mag.astype(complex), radar)
+        random_valid = rng.random((MAP_SIZE, MAP_SIZE)) < 0.6
+        for valid in (None, fov, gated, random_valid):
+            for k, radius, floor_db in ((400, 0, 3.0), (40, 4, 6.0),
+                                        (22, 8, 12.0)):
+                peaks = extract_peaks(ra_map, k, radius, floor_db, valid)
+                assert peaks == _reference_peaks(ra_map, k, radius,
+                                                 floor_db, valid)
+                checked += len(peaks)
+            assert extract_peaks(ra_map, 5, 8, 60.0, valid) == []
+    assert checked > 1000
 
 
 def test_extract_validation(radar):
