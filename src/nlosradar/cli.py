@@ -104,20 +104,26 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_spec(args) -> harness.SweepSpec:
+    """The sweep named by ``--family`` or ``--spec``; ``--trials`` and
+    ``--seed`` override the family's or the file's values when given."""
     if args.family is not None:
-        sweep = harness.SWEEP_FAMILIES[args.family](
-            trials_per_point=args.trials, seed=args.seed or 0)
-    else:
-        with open(args.spec, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        overrides = {"seed": args.seed or 0}
         if args.trials is not None:
-            doc["trials_per_point"] = args.trials
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        doc["grid"] = tuple(doc["grid"])
-        sweep = harness.SweepSpec(**doc)
+            overrides["trials_per_point"] = args.trials
+        return harness.SWEEP_FAMILIES[args.family](**overrides)
+    with open(args.spec, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    if args.trials is not None:
+        doc["trials_per_point"] = args.trials
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    doc["grid"] = tuple(doc["grid"])
+    return harness.SweepSpec(**doc)
 
+
+def _cmd_sweep(args) -> int:
+    sweep = _sweep_spec(args)
     rows, _ = harness.run_sweep(sweep, _pipeline_options(args),
                                 workers=args.workers)
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -32,12 +32,7 @@ from .scenario import (
     randomize_scenario,
     scenario_from_doc,
 )
-from .surface import (
-    STAGE1_RANSAC,
-    RansacConfig,
-    SurfaceEstimate,
-    estimate_surface,
-)
+from .surface import STAGE1_RANSAC, SurfaceEstimate, estimate_surface
 
 
 @dataclass(frozen=True)
@@ -48,13 +43,8 @@ class PipelineOptions:
     k_peaks: int | None = None          # None: derived from the true length
     guard_m: float = 1.0
     min_length: float = 1.0
-    ransac: RansacConfig = STAGE1_RANSAC
-    refine_peak: bool = False
     use_truth_surface: bool = False     # oracle Stage I
-    noise_floor_db: float = 12.0
     ghost_suppression_db: float = 15.0
-    stage1_window: str | None = "hann"  # taper for the peak-extraction map
-    stage1_clean: int = 8               # point returns cancelled on Stage I retry
 
 
 def default_k(spec: ScenarioSpec) -> int:
@@ -66,84 +56,45 @@ def default_k(spec: ScenarioSpec) -> int:
 
 
 def _stage1_ladder(echo, ra_map, spec: ScenarioSpec,
-                   options: PipelineOptions) -> SurfaceEstimate:
-    """Progressive surface-estimation attempts.
+                   options: PipelineOptions) -> tuple[SurfaceEstimate, int | None]:
+    """Stage I as three rungs; each runs only when the ones before found
+    nothing.  Returns the estimate and the index of the rung that detected
+    the wall (None when none did).
 
-    The first rung fits on a frame with the dominant point returns
-    cancelled (a strong two-bounce blob otherwise floods the candidate set
-    with its sidelobe fan), then once more accepting one fewer inlier,
-    since the cancellation may itself consume ridge cells (skipped when
-    the count is already at the three-point minimum).  The next rungs
-    search only below the dominant return, where multipath structure
-    cannot reach: on a fully tapered map (which merges adjacent ridge
-    cells, so the consensus threshold doubles and the retry's inlier count
-    applies) and on a deeply cancelled untapered map with a raised floor
-    (full angle resolution for gently tilted walls).  The last rung fits the raw
-    tapered map, rescuing wall-dominant scenes where cancellation hurt
-    more than it helped.  Each rung runs only when the previous ones found
-    nothing.
+    0. The Hann-tapered map of the frame with up to 8 dominant point
+       returns cancelled: a strong two-bounce blob otherwise floods the
+       candidate set with its sidelobe fan.
+    1. When the map's dominant return lies beyond 8.5 m, the same cleaned
+       frame on a fully tapered map, searched only up to 4.5 m short of
+       that return, where multipath structure cannot reach.  The taper
+       merges adjacent ridge cells, so the consensus threshold doubles.
+    2. The Hann-tapered map of the raw frame, for wall-dominant scenes
+       where the cancellation consumed the ridge.
     """
     k = options.k_peaks or default_k(spec)
-    cfg = replace(options.ransac, seed=spec.seed)
-    window = options.stage1_window
+    cfg = replace(STAGE1_RANSAC, seed=spec.seed)
 
-    if options.stage1_clean <= 0:
-        stage1_map = (compute_ra_map(echo, spec.radar, window=window)
-                      if window else ra_map)
-        return estimate_surface(stage1_map, k=k, method=options.estimator,
-                                config=cfg, min_length=options.min_length,
-                                noise_floor_db=options.noise_floor_db)
+    def fit(frame, window, config=cfg, max_range_m=None):
+        return estimate_surface(compute_ra_map(frame, spec.radar, window=window),
+                                k=k, method=options.estimator, config=config,
+                                min_length=options.min_length,
+                                max_range_m=max_range_m)
 
-    cleaned = suppress_point_returns(echo.samples, spec.radar,
-                                     max_components=options.stage1_clean)
-    cleaned_map = compute_ra_map(cleaned, spec.radar, window=window)
-    est = estimate_surface(cleaned_map, k=k, method=options.estimator,
-                           config=cfg, min_length=options.min_length,
-                           noise_floor_db=options.noise_floor_db)
+    cleaned = suppress_point_returns(echo.samples, spec.radar, max_components=8)
+    est = fit(cleaned, "hann")
     if est.detected:
-        return est
-
-    # cancellation may itself consume ridge cells; accept one fewer on the
-    # same map before reaching for coarser rungs, but never fewer than
-    # three (any two points are collinear) unless the caller asked for
-    # fewer, and never rerun the same fit
-    relaxed = replace(cfg, min_inliers=max(min(3, cfg.min_inliers),
-                                           cfg.min_inliers - 1))
-    if relaxed.min_inliers < cfg.min_inliers:
-        est = estimate_surface(cleaned_map, k=k, method=options.estimator,
-                               config=relaxed, min_length=options.min_length,
-                               noise_floor_db=options.noise_floor_db)
-        if est.detected:
-            return est
+        return est, 0
 
     i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
     gate = float(ra_map.range_axis_m[i]) - 4.5
     if gate > 4.0:
-        wide = replace(relaxed,
-                       inlier_threshold=2.0 * cfg.inlier_threshold)
-        est = estimate_surface(
-            compute_ra_map(cleaned, spec.radar, window="hann2d"), k=k,
-            method=options.estimator, config=wide,
-            min_length=options.min_length,
-            noise_floor_db=options.noise_floor_db, max_range_m=gate)
+        wide = replace(cfg, inlier_threshold=2.0 * cfg.inlier_threshold)
+        est = fit(cleaned, "hann2d", wide, gate)
         if est.detected:
-            return est
-        # cancelling 3 * stage1_clean components from the raw frame passes
-        # through ``cleaned`` on the way, so continue from there
-        deep = suppress_point_returns(cleaned, spec.radar,
-                                      max_components=2 * options.stage1_clean)
-        est = estimate_surface(
-            compute_ra_map(deep, spec.radar), k=k, method=options.estimator,
-            config=relaxed, min_length=options.min_length,
-            noise_floor_db=max(options.noise_floor_db, 18.0),
-            max_range_m=gate)
-        if est.detected:
-            return est
+            return est, 1
 
-    return estimate_surface(compute_ra_map(echo, spec.radar, window=window),
-                            k=k, method=options.estimator, config=cfg,
-                            min_length=options.min_length,
-                            noise_floor_db=options.noise_floor_db)
+    est = fit(echo, "hann")
+    return est, (2 if est.detected else None)
 
 
 @dataclass
@@ -155,6 +106,7 @@ class TrialRecord:
     truth_target: tuple[float, float] | None
     truth_surface: tuple[float, float, float, float] | None  # x, y, D, theta
     estimate: SurfaceEstimate | None = None
+    stage1_rung: int | None = None      # ladder rung that detected the wall
     decision: HypothesisDecision | None = None
     localization: LocalizationResult | None = None
     error_x: float | None = None
@@ -198,10 +150,10 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
         if options.use_truth_surface and spec.surface is not None:
             estimate = SurfaceEstimate.from_truth(spec.surface)
         else:
-            estimate = _stage1_ladder(echo, ra_map, spec, options)
+            estimate, record.stage1_rung = _stage1_ladder(echo, ra_map,
+                                                          spec, options)
         t3 = time.perf_counter()
-        decision = decide(estimate, ra_map, guard_m=options.guard_m,
-                          refine=options.refine_peak)
+        decision = decide(estimate, ra_map, guard_m=options.guard_m)
         t4 = time.perf_counter()
         loc = localize(decision, estimate)
         t5 = time.perf_counter()

@@ -295,12 +295,13 @@ def test_criterion_6_delta_snr_trend():
     elapsed = time.perf_counter() - t0
     rmse = [r["rmse_d"] for r in rows]
     ses = [r["se_rmse_d"] for r in rows]
+    failures = [r["failures"] for r in rows]
     trend_ok = _one_inversion_within_se(rmse, ses, decreasing=True)
-    ok = trend_ok and elapsed < 600.0
+    ok = trend_ok and elapsed < 600.0 and not any(failures)
     assert _report(6, "RMSE trend over differential SNR", ok,
                    "RMSE_d = [" + ", ".join(f"{v:.2f}" for v in rmse)
                    + "] m, SE = [" + ", ".join(f"{s:.2f}" for s in ses)
-                   + f"], {elapsed:.0f} s")
+                   + f"], failures = {failures}, {elapsed:.0f} s")
 
 
 def test_criterion_7_identification_trend():
@@ -315,11 +316,13 @@ def test_criterion_7_identification_trend():
     ses = [math.sqrt(max(p * (1 - p), 1e-9) / n) for p in p11]
     trend_ok = _one_inversion_within_se(p11, ses, decreasing=False)
     fa_ok = all(p <= 0.1 for p, v in zip(p10, (10, 20, 30, 40)) if v >= 30)
-    ok = trend_ok and fa_ok
+    failures = [r["failures"] for r in rows]
+    ok = trend_ok and fa_ok and not any(failures)
     assert _report(7, "identification trend", ok,
                    "Pr(I1|I1) = [" + ", ".join(f"{v:.3f}" for v in p11)
                    + "], Pr(I1|I0) = ["
-                   + ", ".join(f"{v:.3f}" for v in p10) + "]")
+                   + ", ".join(f"{v:.3f}" for v in p10)
+                   + f"], failures = {failures}")
 
 
 def test_criterion_8_surface_mismatch_bound():
@@ -330,11 +333,12 @@ def test_criterion_8_surface_mismatch_bound():
                                trials_per_point=200, seed=300)
     rows, _ = run_sweep(sweep, PipelineOptions(), workers=1)
     rmse = [r["rmse_d"] for r in rows]
+    failures = [r["failures"] for r in rows]
     bound = 3.48
-    ok = all(v < bound for v in rmse)
+    ok = all(v < bound for v in rmse) and not any(failures)
     assert _report(8, "surface-mismatch bound", ok,
                    "RMSE_d = [" + ", ".join(f"{v:.2f}" for v in rmse)
-                   + f"] m, bound {bound} m")
+                   + f"] m, bound {bound} m, failures = {failures}")
 
 
 def test_criterion_9_determinism():

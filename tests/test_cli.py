@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nlosradar import SceneClass, SnrSpec, randomize_scenario, save_scenario
-from nlosradar.cli import main
+from nlosradar.cli import _sweep_spec, build_parser, main
 
 
 @pytest.fixture
@@ -57,6 +57,17 @@ def test_sweep_family(tmp_path):
     assert len(lines) == 5            # header plus four grid points
     svg = (out / "sweep_delta_snr.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_sweep_family_default_trials():
+    """Without --trials a family keeps its own trial count."""
+    parse = build_parser().parse_args
+    sweep = _sweep_spec(parse(["sweep", "--family", "identification"]))
+    assert (sweep.name, sweep.trials_per_point, sweep.seed) == \
+        ("identification", 200, 0)
+    sweep = _sweep_spec(parse(["sweep", "--family", "irregularity",
+                               "--trials", "3", "--seed", "4"]))
+    assert (sweep.trials_per_point, sweep.seed) == (3, 4)
 
 
 def test_sweep_spec_file(tmp_path):

@@ -339,8 +339,8 @@ def test_range_angle_transform_bit_identical_to_full_256():
 
 
 def test_suppress_point_returns_continues_exactly():
-    """Cancelling 8 components and then 16 more is cancelling 24 at once,
-    which lets Stage I's deep rung start from its first rung's frame."""
+    """Cancelling 8 components and then 16 more is cancelling 24 at once:
+    a cancelled frame can be cancelled further without starting over."""
     continued = 0
     for seed, delta_db in ((1, 20.0), (2, 30.0), (3, 40.0), (4, 40.0)):
         spec = scenario_from_doc(reference_scene_doc(30.0, 30.0 + delta_db))

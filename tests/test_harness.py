@@ -61,6 +61,7 @@ def test_run_trial_nlos_reference_scene():
     rec = run_trial(spec, PipelineOptions())
     assert rec.ok
     assert rec.estimate.detected
+    assert rec.stage1_rung == 0
     assert rec.decision.hypothesis is Hypothesis.NLOS
     assert rec.localization.feasible
     assert rec.error_d is not None and rec.error_d < 5.0
@@ -74,8 +75,23 @@ def test_run_trial_los_no_surface():
     rec = run_trial(spec, PipelineOptions())
     assert rec.ok
     assert not rec.estimate.detected
+    assert rec.stage1_rung is None
     assert rec.decision.hypothesis is Hypothesis.LOS
     assert rec.error_d < 1.0          # direct peak sits on the target
+
+
+@pytest.mark.parametrize("seed, rung", [(4, 1), (2, 2)])
+def test_run_trial_later_stage1_rungs_find_the_wall(seed, rung):
+    """Scenes whose wall only the gated full-taper rung (1) or the raw-frame
+    rung (2) detects; each rung still places the wall near its truth."""
+    spec = randomize_scenario(SceneClass.NLOS, seed, preset="identification",
+                              snr=SnrSpec(30.0, 50.0))
+    rec = run_trial(spec, PipelineOptions())
+    assert rec.ok and rec.estimate.detected
+    assert rec.stage1_rung == rung
+    err = rec.surface_errors
+    assert abs(err["theta_deg"]) < 3.0
+    assert math.hypot(err["center_x"], err["center_y"]) < 1.0
 
 
 def test_run_trial_truth_surface_noiseless():
@@ -83,6 +99,7 @@ def test_run_trial_truth_surface_noiseless():
     rec = run_trial(spec, PipelineOptions(use_truth_surface=True))
     assert rec.ok
     assert rec.estimate.estimator_id == "truth"
+    assert rec.stage1_rung is None
     assert rec.decision.hypothesis is Hypothesis.NLOS
 
 
