@@ -77,23 +77,19 @@ class ScatterDraw:
 
     surface_coeffs: np.ndarray      # (K,) complex
     target_coeff: complex
-    noise_variance: float = 1.0
 
     @classmethod
-    def draw(cls, num_reflectors: int, seed: int,
-             noise_variance: float = 1.0) -> "ScatterDraw":
+    def draw(cls, num_reflectors: int, seed: int) -> "ScatterDraw":
         rng = np.random.default_rng(seed)
         z = (rng.standard_normal(num_reflectors + 1)
              + 1j * rng.standard_normal(num_reflectors + 1)) / math.sqrt(2.0)
-        return cls(surface_coeffs=z[:-1], target_coeff=complex(z[-1]),
-                   noise_variance=noise_variance)
+        return cls(surface_coeffs=z[:-1], target_coeff=complex(z[-1]))
 
     @classmethod
-    def unit(cls, num_reflectors: int,
-             noise_variance: float = 1.0) -> "ScatterDraw":
+    def unit(cls, num_reflectors: int) -> "ScatterDraw":
         """Deterministic draw with unit coefficients, for calibration checks."""
         return cls(surface_coeffs=np.ones(num_reflectors, dtype=complex),
-                   target_coeff=1.0 + 0.0j, noise_variance=noise_variance)
+                   target_coeff=1.0 + 0.0j)
 
 
 @dataclass
@@ -332,27 +328,51 @@ def _noise(radar: RadarConfig, variance: float, rng: np.random.Generator) -> np.
                                         + 1j * rng.standard_normal(shape))
 
 
-def _range_angle(samples: np.ndarray, size: int) -> np.ndarray:
-    """Centred ``size`` x ``size`` transform of a frame, angle-major.
+def _channel_spectrum(samples: np.ndarray, size: int) -> np.ndarray:
+    """Centred channel DFT of a frame zero padded to ``size`` channels.
 
-    Element [p, q] holds direction-cosine bin p (a DFT of the receiver
-    channels, zero spatial frequency at row ``size // 2``) and range bin q
-    (a conjugate-sense DFT of fast time), both over the frame zero padded
-    to ``size``.  The result is bit-identical to the full padded transform:
-    the channel FFT runs only over the N fast-time columns that hold data,
-    since a zero column transforms to zeros (FFT input pruning); the
-    centring shift moves those N columns' spectra before the range
-    transform, which treats each row on its own; and the range transform
-    is left unscaled instead of scaled by 1/size and multiplied back, both
-    exact for a power of two.
+    Row p of the (size, N) result holds direction-cosine bin p (zero
+    spatial frequency at row ``size // 2``) for each of the frame's N
+    fast-time samples.  The N columns that hold data are the only ones
+    transformed, since a zero column transforms to zeros (FFT input
+    pruning), and centring them is the shift the full transform applies.
     """
     m_r, n = samples.shape
     if m_r > size or n > size:
         raise ValueError(f"frame larger than the {size} x {size} transform")
     # complex64 frames (read_echo) would otherwise transform in single precision
     samples = samples.astype(complex, copy=False)
-    spatial = np.fft.fftshift(np.fft.fft(samples, n=size, axis=0), axes=0)
-    return np.fft.ifft(spatial, n=size, axis=1, norm="forward")
+    return np.fft.fftshift(np.fft.fft(samples, n=size, axis=0), axes=0)
+
+
+def _range_angle(samples: np.ndarray, size: int) -> np.ndarray:
+    """Centred ``size`` x ``size`` transform of a frame, angle-major.
+
+    Element [p, q] holds direction-cosine bin p (``_channel_spectrum``) and
+    range bin q (a conjugate-sense DFT of fast time), both over the frame
+    zero padded to ``size``.  The result is bit-identical to the full
+    padded transform: the channel FFT is pruned to the columns that hold
+    data; the range transform treats each row on its own; and it is left
+    unscaled instead of scaled by 1/size and multiplied back, both exact
+    for a power of two.
+    """
+    return np.fft.ifft(_channel_spectrum(samples, size), n=size, axis=1,
+                       norm="forward")
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a NaN-free 1-D array, from one partition in place.
+
+    Reorders ``values``.  An odd size takes the middle order statistic; an
+    even size takes the mean of the two middle ones, in the array's own
+    precision, which is what ``np.median`` computes.
+    """
+    half = values.size // 2
+    values.partition(half)
+    upper = values[half]
+    if values.size % 2:
+        return float(upper)
+    return float((values[:half].max() + upper) / 2)
 
 
 def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
@@ -405,7 +425,7 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
             exact = True
         peak = float(mag.flat[flat])
         if exact and not _count_clears(mag, peak, t_gate) \
-                and peak < float(np.median(mag)) * t_gate:
+                and peak < _median(mag.flatten()) * t_gate:
             break
         p, q = divmod(flat, pad)
         u = (p - pad // 2) / (pad * du)
@@ -478,12 +498,11 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
     if spec.surface is not None:
         points = discretize_surface(spec.surface, radar, rng_seed=seed_surface)
         reflectors = effective_reflectors(points, radar)
-        draw = ScatterDraw.draw(len(reflectors), seed_draw,
-                                noise_variance=noise_var)
+        draw = ScatterDraw.draw(len(reflectors), seed_draw)
         components["surface"] = synthesize_surface_echo(
             reflectors, radar, spec.surface, draw, waveform, amplitude=1.0)
     else:
-        draw = ScatterDraw.draw(0, seed_draw, noise_variance=noise_var)
+        draw = ScatterDraw.draw(0, seed_draw)
 
     if spec.scene_class is SceneClass.NLOS:
         components["target"] = _two_bounce_echo(
@@ -498,11 +517,8 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
         if spec.scene_class is SceneClass.LOS_SURFACE_MP:
             ghost_amp = amplitude_for_snr(
                 spec.snr.target_snr_db - ghost_suppression_db, radar, noise_var)
-            ghost_draw = ScatterDraw(surface_coeffs=draw.surface_coeffs,
-                                     target_coeff=draw.target_coeff,
-                                     noise_variance=noise_var)
             components["ghost"] = _two_bounce_echo(
-                reflectors, radar, spec.surface, spec.target.xy, ghost_draw,
+                reflectors, radar, spec.surface, spec.target.xy, draw,
                 waveform, amplitude=ghost_amp)
 
     if include_noise:

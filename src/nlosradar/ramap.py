@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .echo import RadarEcho, _range_angle
+from .echo import RadarEcho, _channel_spectrum, _median, _range_angle
 from .geometry import RadarConfig
 
 MAP_SIZE = 512
+_BLOCK_ROWS = 64        # angle rows per range-transform block, 512 KB complex
 
 
 class Peak(NamedTuple):
@@ -35,27 +37,48 @@ class Peak(NamedTuple):
 
 
 class RangeAngleMap:
-    """512 x 512 complex map with calibrated physical axes.
+    """512 x 512 magnitude map with calibrated physical axes.
 
     Attributes:
-        values:         complex matrix, values[range_bin, angle_bin]
-        magnitude:      |values|
+        magnitude:      float matrix, magnitude[range_bin, angle_bin]
+        values:         the complex map whose modulus ``magnitude`` is;
+                        a map from ``compute_ra_map`` forms it from its
+                        frame on first read (only exports read it)
         range_axis_m:   meters at each row, 0 .. N*range_bin (exclusive)
         angle_axis_deg: degrees at each column (NaN outside visible space)
         radar:          the originating radar configuration
+
+    ``RangeAngleMap(values, radar)`` wraps a complex map made by hand.
     """
 
     def __init__(self, values: np.ndarray, radar: RadarConfig):
         if values.shape != (MAP_SIZE, MAP_SIZE):
             raise ValueError(f"map must be {MAP_SIZE} x {MAP_SIZE}")
         self.values = values
-        self.magnitude = np.abs(values)
+        self._set(np.abs(values), radar)
+
+    @classmethod
+    def _of_frame(cls, frame: np.ndarray, magnitude: np.ndarray,
+                  radar: RadarConfig) -> "RangeAngleMap":
+        """The map of a (windowed, complex) frame, of known magnitude."""
+        ra_map = cls.__new__(cls)
+        ra_map._frame = frame
+        ra_map._set(magnitude, radar)
+        return ra_map
+
+    def _set(self, magnitude: np.ndarray, radar: RadarConfig) -> None:
+        self.magnitude = magnitude
         self.radar = radar
         self.range_axis_m = np.arange(MAP_SIZE) * (radar.max_range_m / MAP_SIZE)
         du = radar.element_spacing / radar.carrier_wavelength
         u = (np.arange(MAP_SIZE) - MAP_SIZE // 2) / (MAP_SIZE * du)
         with np.errstate(invalid="ignore"):
             self.angle_axis_deg = np.degrees(np.arcsin(u))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Complex matrix, values[range_bin, angle_bin], formed on first read."""
+        return _range_angle(self._frame, MAP_SIZE).T
 
     def nearest_range_bin(self, range_m: float) -> int:
         step = self.radar.max_range_m / MAP_SIZE
@@ -85,12 +108,19 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     exist for peak extraction in the presence of a point return strong
     enough that its sidelobes bury the distributed surface ridge.
 
-    The transform is pruned (``echo._range_angle``): of the 512 zero-padded
-    fast-time columns only the N that hold samples go through the channel
-    FFT, because the DFT of an all-zero column is exactly zero.  Every other
-    operation is one the full 512 x 512 transform performs on the same
-    values, and scaling the range axis by 1/512 and back by 512 (powers of
-    two) is skipped, so the map is bit-identical to the unpruned transform.
+    The map is magnitude-only.  The range transform runs over blocks of
+    ``_BLOCK_ROWS`` angle rows of the channel spectrum, and each block's
+    modulus is written straight into the range-major magnitude, so no
+    complex 512 x 512 array is ever held.  The map keeps a copy of the
+    windowed frame and forms the complex ``values`` from it on first read.
+
+    The transform is pruned (``echo._channel_spectrum``): of the 512
+    zero-padded fast-time columns only the N that hold samples go through
+    the channel FFT, because the DFT of an all-zero column is exactly zero.
+    Every other operation is one the full 512 x 512 transform performs on
+    the same values, and scaling the range axis by 1/512 and back by 512
+    (powers of two) is skipped, so the map is bit-identical to the unpruned
+    transform.
     """
     samples = echo.samples if isinstance(echo, RadarEcho) else np.asarray(echo)
     m_r, n = samples.shape
@@ -101,7 +131,14 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
             samples = samples * np.hanning(n + 2)[1:-1][None, :]
     elif window is not None:
         raise ValueError(f"unknown window {window!r}")
-    return RangeAngleMap(_range_angle(samples, MAP_SIZE).T.copy(), radar)
+    frame = samples.astype(complex)
+    spatial = _channel_spectrum(frame, MAP_SIZE)
+    magnitude = np.empty((MAP_SIZE, MAP_SIZE))
+    for p in range(0, MAP_SIZE, _BLOCK_ROWS):
+        rows = slice(p, p + _BLOCK_ROWS)
+        block = np.fft.ifft(spatial[rows], n=MAP_SIZE, axis=1, norm="forward")
+        np.abs(block.T, out=magnitude[:, rows])
+    return RangeAngleMap._of_frame(frame, magnitude, radar)
 
 
 def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
@@ -132,10 +169,10 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
         raise ValueError("k exceeds the number of map cells")
 
     mag = ra_map.magnitude
-    searchable = mag if valid is None else mag[valid]
+    searchable = mag.flatten() if valid is None else mag[valid]
     if searchable.size == 0:
         return []
-    floor = float(np.median(searchable)) * 10.0 ** (noise_floor_db / 20.0)
+    floor = _median(searchable) * 10.0 ** (noise_floor_db / 20.0)
 
     # a candidate is an interior cell above the floor that is at least as
     # large as each of its 3 x 3 neighbors; only cells above the floor are

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,9 +16,11 @@ from nlosradar import (
     ScenarioSpec,
     SnrSpec,
     SurfaceEstimate,
+    compute_ra_map,
     randomize_scenario,
     scenario_from_doc,
 )
+from nlosradar import harness
 from nlosradar.classify import HypothesisDecision
 from nlosradar.harness import (
     PipelineOptions,
@@ -92,6 +95,38 @@ def test_run_trial_later_stage1_rungs_find_the_wall(seed, rung):
     err = rec.surface_errors
     assert abs(err["theta_deg"]) < 3.0
     assert math.hypot(err["center_x"], err["center_y"]) < 1.0
+
+
+@pytest.mark.parametrize("scene", ["reference", "surface_free"])
+def test_run_trial_memory_peak(scene, monkeypatch):
+    """A trial's live allocations stay under 10 MB: maps hold magnitudes
+    only, so a trial never keeps a complex 512 x 512 map (4 MB each).  The
+    surface-free scene climbs all three Stage I rungs, forming four maps."""
+    if scene == "reference":
+        spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
+        maps = 2
+    else:
+        spec = randomize_scenario(SceneClass.LOS_NO_SURFACE, 4,
+                                  preset="identification",
+                                  snr=SnrSpec(30.0, 50.0))
+        maps = 4
+    formed = []
+
+    def counted(*args, **kwargs):
+        formed.append(None)
+        return compute_ra_map(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_ra_map", counted)
+    run_trial(spec, PipelineOptions())          # warm up first-call caches
+    formed.clear()
+    tracemalloc.start()
+    try:
+        rec = run_trial(spec, PipelineOptions())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.ok and len(formed) == maps
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_run_trial_truth_surface_noiseless():

@@ -9,12 +9,15 @@ from nlosradar import (
     extract_peaks,
     polar_to_xy,
     refine_peak_quadratic,
+    scenario_from_doc,
+    synthesize,
     synthesize_direct_echo,
     to_cartesian,
     write_magnitude_csv,
     write_map_binary,
 )
-from nlosradar.echo import WaveformConfig
+from nlosradar.echo import WaveformConfig, _median
+from nlosradar.harness import reference_scene_doc
 from nlosradar.ramap import Peak
 
 from conftest import rayleigh_field  # noqa: E402 - shared test field
@@ -69,6 +72,8 @@ def _unpruned_values(samples, window=None):
 @pytest.mark.parametrize("window", [None, "hann", "hann2d"])
 @pytest.mark.parametrize("shape", [{}, {"num_rx": 8, "num_samples": 64}])
 def test_pruned_transform_bit_identical_to_full(shape, window):
+    """The blocked magnitude equals |full transform| bit for bit before the
+    complex values exist; read afterwards, they equal the full transform."""
     radar = RadarConfig(**shape)
     rng = np.random.default_rng(21)
     waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
@@ -77,13 +82,28 @@ def test_pruned_transform_bit_identical_to_full(shape, window):
         size = (radar.num_rx, radar.num_samples)
         frames.append(10.0**scale_exp * (rng.standard_normal(size)
                                          + 1j * rng.standard_normal(size)))
-    frames.append(frames[-1].real.astype(np.float32))
+    frames += [frames[-1].astype(np.complex64),
+               frames[-1].real.astype(np.float32)]
     for x in frames:
         m = compute_ra_map(x, radar, window=window)
         expected = _unpruned_values(x, window)
-        assert m.values.dtype == expected.dtype
-        assert np.array_equal(m.values, expected)
+        assert m.magnitude.flags.c_contiguous
         assert np.array_equal(m.magnitude, np.abs(expected))
+        assert "values" not in vars(m)
+        assert m.values.dtype == expected.dtype == np.complex128
+        assert np.array_equal(m.values, expected)
+        assert m.values is m.values
+
+
+def test_map_keeps_its_own_frame(radar):
+    """Changing the caller's frame after the map is formed does not change
+    the values the map forms later."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128))
+    expected = _unpruned_values(x)
+    m = compute_ra_map(x, radar)
+    x[:] = 0.0
+    assert np.array_equal(m.values, expected)
 
 
 def test_axes(radar):
@@ -216,6 +236,31 @@ def test_extract_peaks_matches_full_map_local_maxima(radar):
     assert checked > 1000
 
 
+def test_median_equals_numpy_median(radar):
+    """One partition gives np.median exactly: odd and even sizes, size 1,
+    plateaus and ties, float32, and the FOV-masked and range-gated maps
+    extract_peaks takes its floor over."""
+    rng = np.random.default_rng(13)
+    arrays = [np.array([2.5]), np.array([1.0, 2.0]), np.array([3.0, 3.0]),
+              np.array([1.0, 1.0, 2.0, 2.0]), np.array([0.0, 1.0, 1.0])]
+    for size in (2, 3, 4, 5, 10, 11, 1000, 1001):
+        x = rng.random(size)
+        arrays += [x, np.round(4.0 * x) / 4.0, np.round(x),
+                   x.astype(np.float32)]
+    mag = compute_ra_map(rng.standard_normal((16, 128)), radar).magnitude
+    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
+    for field in (mag, np.round(rayleigh_field((MAP_SIZE, MAP_SIZE), 1))):
+        for rows in (MAP_SIZE, 300, 151):
+            gated = fov & (np.arange(MAP_SIZE)[:, None] < rows)
+            arrays += [field[gated], field[:rows].ravel()]
+    sizes = {a.size % 2 for a in arrays}
+    assert sizes == {0, 1}
+    for a in arrays:
+        got = _median(a.copy())
+        assert type(got) is float
+        assert got == float(np.median(a)), (a.size, a.dtype)
+
+
 def test_extract_validation(radar):
     m = _impulse_map(radar, {(100, 256): 5.0})
     with pytest.raises(ValueError):
@@ -310,3 +355,16 @@ def test_map_exports(tmp_path, radar, waveform):
     write_map_binary(m, bin_path, seed=4)
     assert bin_path.stat().st_size == 32 + MAP_SIZE * MAP_SIZE * 8
     assert (tmp_path / "map.bin.json").exists()
+
+
+def test_map_binary_bytes_match_full_transform(tmp_path, radar):
+    """The binary dump of a synthesized frame's map holds exactly the bytes
+    the complex64 full transform gives, after the 32-byte header."""
+    spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(3)
+    echo = synthesize(spec)
+    m = compute_ra_map(echo, radar)
+    path = tmp_path / "map.bin"
+    write_map_binary(m, path, seed=3)
+    data = path.read_bytes()
+    assert data[:4] == b"NLRM"
+    assert data[32:] == _unpruned_values(echo.samples).astype(np.complex64).tobytes()
