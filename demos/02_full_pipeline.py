@@ -30,7 +30,7 @@ from nlosradar.echo import suppress_point_returns
 
 cleaned = suppress_point_returns(echo.samples, radar, max_components=8)
 stage1_map = nr.compute_ra_map(cleaned, radar, window="hann")
-est = nr.estimate_surface(stage1_map, k=22, method="ransac")
+est = nr.estimate_surface(stage1_map, k=22)
 print("Stage I  :", "detected" if est.detected else "no surface")
 if est.detected:
     print(f"           theta = {est.orientation_deg:.2f} deg (truth 25), "

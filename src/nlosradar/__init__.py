@@ -103,7 +103,6 @@ from .surface import (
     estimate_surface,
     fit_ls,
     fit_ransac,
-    register_surface_estimator,
 )
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ramap import (MAP_SIZE, RangeAngleMap, _argmax_cell,
-                    refine_peak_quadratic)
+from .ramap import MAP_SIZE, RangeAngleMap, _argmax_cell
 from .surface import SurfaceEstimate
 
 
@@ -185,7 +184,7 @@ def masked_argmax(ra_map: RangeAngleMap,
 
 
 def decide(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
-           guard_m: float = 1.0, refine: bool = False) -> HypothesisDecision:
+           guard_m: float = 1.0) -> HypothesisDecision:
     """Hypothesis decision:
 
         no surface detected  ->  I0, peak = whole-FOV argmax
@@ -200,12 +199,9 @@ def decide(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
         i, j = _argmax_cell(ra_map, masks.union)
         hyp = masks.region(i, j)
 
-    range_m = float(ra_map.range_axis_m[i])
-    angle_deg = float(ra_map.angle_axis_deg[j])
-    if refine:
-        range_m, angle_deg = refine_peak_quadratic(ra_map, i, j)
-    return HypothesisDecision(hypothesis=hyp, peak_angle_deg=angle_deg,
-                              peak_range_m=range_m,
+    return HypothesisDecision(hypothesis=hyp,
+                              peak_angle_deg=float(ra_map.angle_axis_deg[j]),
+                              peak_range_m=float(ra_map.range_axis_m[i]),
                               peak_magnitude=float(ra_map.magnitude[i, j]),
                               peak_range_bin=i, peak_angle_bin=j)
 

@@ -26,11 +26,7 @@ from .scenario import load_scenario
 
 
 def _pipeline_options(args) -> harness.PipelineOptions:
-    return harness.PipelineOptions(
-        estimator=args.estimator,
-        k_peaks=args.k_peaks,
-        guard_m=args.guard_m,
-    )
+    return harness.PipelineOptions(guard_m=args.guard_m)
 
 
 def _add_common(p):
@@ -38,9 +34,6 @@ def _add_common(p):
                    help="override the scene/master seed")
     p.add_argument("--out-dir", type=Path, default=Path("."),
                    help="output directory (created if missing)")
-    p.add_argument("--estimator", choices=("ls", "ransac"), default="ransac")
-    p.add_argument("--k-peaks", type=int, default=None,
-                   help="peaks fed to the surface fit (default: length-derived)")
     p.add_argument("--guard-m", type=float, default=1.0,
                    help="guard band half-width around the estimated surface")
     p.add_argument("--export", default="csv",

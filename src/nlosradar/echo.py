@@ -16,7 +16,7 @@ apparent range R1 + R2.
 
 Amplitudes are calibrated against the configured post-processing SNRs: with
 noise variance sigma_n^2, a per-sample signal amplitude A yields a post-2D-FFT
-SNR of 10*log10(A^2/sigma_n^2) + 10*log10(Mt*Mr*N).  Free-space loss (1/R per
+SNR of 10*log10(A^2/sigma_n^2) + 10*log10(Mr*N).  Free-space loss (1/R per
 one-way segment) shapes only the relative weighting across scatterers; the
 absolute scale is pinned by the SNR spec at a reference scatterer (the wall
 center for the surface echo, the strongest specular pair for the target echo).
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,19 +156,19 @@ def calibrate_noise(snr: SnrSpec, radar: RadarConfig,
                     wall_amplitude: float = 1.0) -> float:
     """Noise variance that realizes the surface post-processing SNR.
 
-    Solves  snr.surface_snr_db = 10*log10(A^2 / sigma_n^2) + 10*log10(Mt*Mr*N)
+    Solves  snr.surface_snr_db = 10*log10(A^2 / sigma_n^2) + 10*log10(Mr*N)
     for sigma_n^2, for a wall reflector of per-sample amplitude A.
     """
     if not math.isfinite(snr.surface_snr_db):
         raise ValueError("surface SNR must be finite")
-    gain = radar.num_tx * radar.num_rx * radar.num_samples
+    gain = radar.num_rx * radar.num_samples
     return wall_amplitude**2 * gain * 10.0 ** (-snr.surface_snr_db / 10.0)
 
 
 def amplitude_for_snr(snr_db: float, radar: RadarConfig,
                       noise_variance: float) -> float:
     """Per-sample amplitude whose post-processing SNR equals ``snr_db``."""
-    gain = radar.num_tx * radar.num_rx * radar.num_samples
+    gain = radar.num_rx * radar.num_samples
     return math.sqrt(noise_variance * 10.0 ** (snr_db / 10.0) / gain)
 
 
@@ -233,12 +232,11 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     the calibrated level.
 
     When the specular point misses the finite segment the target is not
-    illuminated: a zero matrix is returned under a warning.
+    illuminated, and a zero matrix is returned; that is a regular outcome,
+    so no warning is issued.
     """
     prp = solve_prp(surface, (0.0, 0.0), np.asarray(target_xy, dtype=float))
     if not prp.on_segment:
-        warnings.warn("specular point off the finite surface; target not "
-                      "illuminated", stacklevel=2)
         return np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
     if prp.r_radar_prp + prp.r_prp_target >= radar.max_range_m:
         raise OutOfWindowError("two-bounce path beyond the unambiguous range")
@@ -291,22 +289,6 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     if agg <= 0.0:
         return np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
     return draw.target_coeff * (amplitude / agg) * echo
-
-
-def _two_bounce_echo(reflectors: SurfacePointSet, radar: RadarConfig,
-                     surface: ReflectiveSurface, target_xy, draw: ScatterDraw,
-                     waveform: WaveformConfig, amplitude: float) -> np.ndarray:
-    """synthesize_target_echo, or zeros without a warning when the specular
-    point misses the segment and the target is therefore not illuminated.
-
-    Deciding illumination up front keeps ``synthesize`` off the process-wide
-    warnings filter, which concurrent trials would otherwise race on.
-    """
-    prp = solve_prp(surface, (0.0, 0.0), np.asarray(target_xy, dtype=float))
-    if not prp.on_segment:
-        return np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
-    return synthesize_target_echo(reflectors, radar, surface, target_xy, draw,
-                                  waveform, amplitude=amplitude)
 
 
 def synthesize_direct_echo(target_xy, radar: RadarConfig,
@@ -505,7 +487,7 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
         draw = ScatterDraw.draw(0, seed_draw)
 
     if spec.scene_class is SceneClass.NLOS:
-        components["target"] = _two_bounce_echo(
+        components["target"] = synthesize_target_echo(
             reflectors, radar, spec.surface, spec.target.xy, draw, waveform,
             amplitude=target_amp)
     elif spec.target is not None and spec.scene_class in (
@@ -517,7 +499,7 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
         if spec.scene_class is SceneClass.LOS_SURFACE_MP:
             ghost_amp = amplitude_for_snr(
                 spec.snr.target_snr_db - ghost_suppression_db, radar, noise_var)
-            components["ghost"] = _two_bounce_echo(
+            components["ghost"] = synthesize_target_echo(
                 reflectors, radar, spec.surface, spec.target.xy, draw,
                 waveform, amplitude=ghost_amp)
 

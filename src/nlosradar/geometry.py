@@ -62,11 +62,10 @@ class RadarConfig:
 
     The array is a uniform linear array of ``num_rx`` elements along x,
     element 0 at the origin.  ``element_spacing`` defaults to half the
-    carrier wavelength.  ``num_tx`` must be 1: the synthesized frame has no
-    transmitter dimension.
+    carrier wavelength.  There is a single transmitter: the synthesized
+    frame has no transmitter dimension.
     """
 
-    num_tx: int = 1
     num_rx: int = 16
     num_samples: int = 128
     bandwidth_hz: float = 400e6
@@ -75,10 +74,6 @@ class RadarConfig:
     fov_half_angle_deg: float = 60.0
 
     def __post_init__(self):
-        if self.num_tx != 1:
-            # the calibration gain counts transmitters, but the synthesizer
-            # has no TX dimension: any other count would miss the set SNR
-            raise ValueError("only num_tx = 1 is supported")
         if self.num_rx < 2 or self.num_samples < 2:
             raise ValueError("need num_rx >= 2, num_samples >= 2")
         if self.bandwidth_hz <= 0:

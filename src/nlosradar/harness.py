@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classify import Hypothesis, HypothesisDecision, decide
-from .echo import suppress_point_returns, synthesize
+from .echo import OutOfWindowError, suppress_point_returns, synthesize
+from .geometry import GeometryError
 from .localize import LocalizationResult, localize
 from .ramap import _argmax_cell, compute_ra_map
 from .scenario import (
@@ -39,11 +40,8 @@ from .surface import STAGE1_RANSAC, SurfaceEstimate, estimate_surface
 class PipelineOptions:
     """Knobs of the three-stage pipeline shared by all trials."""
 
-    estimator: str = "ransac"
-    k_peaks: int | None = None          # None: derived from the true length
     guard_m: float = 1.0
     min_length: float = 1.0
-    use_truth_surface: bool = False     # oracle Stage I
     ghost_suppression_db: float = 15.0
 
 
@@ -71,12 +69,12 @@ def _stage1_ladder(echo, ra_map, spec: ScenarioSpec,
     2. The Hann-tapered map of the raw frame, for wall-dominant scenes
        where the cancellation consumed the ridge.
     """
-    k = options.k_peaks or default_k(spec)
+    k = default_k(spec)
     cfg = replace(STAGE1_RANSAC, seed=spec.seed)
 
     def fit(frame, window, config=cfg, max_range_m=None):
         return estimate_surface(compute_ra_map(frame, spec.radar, window=window),
-                                k=k, method=options.estimator, config=config,
+                                k=k, config=config,
                                 min_length=options.min_length,
                                 max_range_m=max_range_m)
 
@@ -128,8 +126,12 @@ class TrialRecord:
 
 
 def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) -> TrialRecord:
-    """Run the full pipeline on one scenario; stage errors are recorded in
-    the trial record and never abort the caller's batch."""
+    """Run the full pipeline on one scenario.
+
+    A ``GeometryError`` or ``OutOfWindowError``, which a well-formed scene
+    can raise, is recorded in the trial record and does not abort the
+    caller's batch; any other exception is a fault and propagates.
+    """
     record = TrialRecord(
         scene_class=spec.scene_class, seed=spec.seed,
         snr_surface_db=spec.snr.surface_snr_db,
@@ -147,11 +149,8 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
         ra_map = compute_ra_map(echo, spec.radar)
         t2 = time.perf_counter()
 
-        if options.use_truth_surface and spec.surface is not None:
-            estimate = SurfaceEstimate.from_truth(spec.surface)
-        else:
-            estimate, record.stage1_rung = _stage1_ladder(echo, ra_map,
-                                                          spec, options)
+        estimate, record.stage1_rung = _stage1_ladder(echo, ra_map, spec,
+                                                      options)
         t3 = time.perf_counter()
         decision = decide(estimate, ra_map, guard_m=options.guard_m)
         t4 = time.perf_counter()
@@ -170,8 +169,7 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
             record.error_x = loc.x - spec.target.x
             record.error_y = loc.y - spec.target.y
             record.error_d = math.hypot(record.error_x, record.error_y)
-        if spec.surface is not None and estimate.detected and \
-                estimate.estimator_id != "truth":
+        if spec.surface is not None and estimate.detected:
             record.surface_errors = {
                 "center_x": estimate.center_x - spec.surface.center_x,
                 "center_y": estimate.center_y - spec.surface.center_y,
@@ -179,7 +177,7 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
                 "theta_deg": estimate.orientation_deg
                 - spec.surface.orientation_deg,
             }
-    except Exception as exc:  # noqa: BLE001 - batch must survive any trial
+    except (GeometryError, OutOfWindowError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     return record
 

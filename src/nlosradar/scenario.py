@@ -292,7 +292,6 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
     """Write a scenario to a JSON scene file."""
     doc: dict = {
         "radar": {
-            "num_tx": spec.radar.num_tx,
             "num_rx": spec.radar.num_rx,
             "num_samples": spec.radar.num_samples,
             "bandwidth_hz": spec.radar.bandwidth_hz,
@@ -336,8 +335,11 @@ def scenario_from_doc(doc: dict) -> ScenarioSpec:
     the class is inferred from the scene content.
     """
     rd = doc.get("radar", {})
+    if int(rd.get("num_tx", 1)) != 1:
+        # the synthesizer has no transmitter dimension, so a file asking for
+        # more transmitters would get a frame that misses its SNRs
+        raise ValueError("only radar.num_tx = 1 is supported")
     radar = RadarConfig(
-        num_tx=int(rd.get("num_tx", 1)),
         num_rx=int(rd.get("num_rx", 16)),
         num_samples=int(rd.get("num_samples", 128)),
         bandwidth_hz=float(rd.get("bandwidth_hz", 400e6)),

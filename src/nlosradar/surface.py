@@ -1,21 +1,16 @@
 """Reflective-surface detection and parameter estimation (Stage I).
 
-Classical estimators fit a line to the strongest map peaks converted to
-Cartesian points: plain least squares, and a random-consensus fit that is
-robust to spurious peaks.  The resulting estimate carries center, length,
-orientation and intercept of the fitted finite segment, or a not-detected
-flag when no sufficiently long consensus line exists.
-
-Alternative estimators (e.g. a learned one operating on the raw map) can be
-registered under a name and selected per call without touching the later
-pipeline stages.
+A random-consensus fit, robust to spurious peaks, places a line through
+the strongest map peaks converted to Cartesian points.  The resulting
+estimate carries center, length, orientation and intercept of the fitted
+finite segment, or a not-detected flag when no sufficiently long consensus
+line exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,7 +19,6 @@ from .ramap import (
     RangeAngleMap,
     extract_peaks,
     refine_peak_quadratic,
-    to_cartesian,
 )
 
 
@@ -65,7 +59,6 @@ class SurfaceEstimate:
     """Stage I output.  When ``detected`` is false the geometry fields are None."""
 
     detected: bool
-    estimator_id: str
     center_x: float | None = None
     center_y: float | None = None
     length: float | None = None
@@ -74,13 +67,13 @@ class SurfaceEstimate:
     inlier_count: int = 0
 
     @classmethod
-    def not_detected(cls, estimator_id: str) -> "SurfaceEstimate":
-        return cls(detected=False, estimator_id=estimator_id)
+    def not_detected(cls) -> "SurfaceEstimate":
+        return cls(detected=False)
 
     @classmethod
     def from_truth(cls, surface) -> "SurfaceEstimate":
         """Estimate carrying the ground-truth parameters (oracle Stage I)."""
-        return cls(detected=True, estimator_id="truth",
+        return cls(detected=True,
                    center_x=surface.center_x, center_y=surface.center_y,
                    length=surface.length,
                    orientation_deg=surface.orientation_deg,
@@ -94,10 +87,10 @@ class SurfaceEstimate:
 
     def to_csv_row(self) -> str:
         if not self.detected:
-            return f"False,,,,,{self.inlier_count},{self.estimator_id}"
+            return f"False,,,,,{self.inlier_count}"
         return (f"True,{self.center_x:.6f},{self.center_y:.6f},"
                 f"{self.length:.6f},{self.orientation_deg:.6f},"
-                f"{self.inlier_count},{self.estimator_id}")
+                f"{self.inlier_count}")
 
 
 def fit_ls(points: np.ndarray) -> tuple[float, float]:
@@ -157,29 +150,21 @@ def fit_ransac(points: np.ndarray,
     return slope_r, icept_r, mask
 
 
-def _fit_with_vertical_fallback(pts: np.ndarray, method: str,
-                                config: RansacConfig):
-    """Fit in the native frame; retry in a 90-degree rotated frame when the
-    points are near vertical, mapping the line back afterwards."""
-
-    def run(p):
-        if method == "ls":
-            s, b = fit_ls(p)
-            return s, b, np.ones(p.shape[0], dtype=bool)
-        return fit_ransac(p, config)
-
+def _fit_with_vertical_fallback(pts: np.ndarray, config: RansacConfig):
+    """Consensus fit in the native frame; retry in a 90-degree rotated frame
+    when the points are near vertical, mapping the line back afterwards."""
     spread_x = float(np.std(pts[:, 0]))
     spread_y = float(np.std(pts[:, 1]))
     try:
         if spread_x >= 0.05 * spread_y:
-            slope, icept, mask = run(pts)
+            slope, icept, mask = fit_ransac(pts, config)
             if abs(slope) <= math.tan(math.radians(80.0)):
                 return slope, icept, mask
     except FitError:
         pass
     # rotate by -90 degrees: (x, y) -> (y, -x), fit, rotate the line back
     rot = np.column_stack([pts[:, 1], -pts[:, 0]])
-    slope_r, icept_r, mask = run(rot)
+    slope_r, icept_r, mask = fit_ransac(rot, config)
     if abs(slope_r) < 1e-12:
         raise FitError("fitted line vertical in the native frame")
     return -1.0 / slope_r, -icept_r / slope_r, mask
@@ -198,12 +183,11 @@ def _weighted_ls(pts: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
 
 
 def _reestimate(pts: np.ndarray, slope: float, icept: float,
-                threshold: float, weights: np.ndarray | None = None,
-                rounds: int = 2):
+                threshold: float, weights: np.ndarray, rounds: int = 2):
     """Expand the consensus: refit on every point within the perpendicular
-    threshold of the current line, a couple of rounds.  With ``weights``
-    the refit is magnitude weighted, anchoring the line on the strong
-    ridge cells rather than on the speckle skirt around them."""
+    threshold of the current line, a couple of rounds.  The refit is
+    weighted by ``weights`` (peak magnitudes), anchoring the line on the
+    strong ridge cells rather than on the speckle skirt around them."""
     mask = None
     for _ in range(rounds):
         d = np.abs(pts[:, 1] - slope * pts[:, 0] - icept) \
@@ -215,10 +199,7 @@ def _reestimate(pts: np.ndarray, slope: float, icept: float,
             break
         mask = new_mask
         try:
-            if weights is None:
-                slope, icept = fit_ls(pts[mask])
-            else:
-                slope, icept = _weighted_ls(pts[mask], weights[mask])
+            slope, icept = _weighted_ls(pts[mask], weights[mask])
         except FitError:
             break
     if mask is None:
@@ -281,7 +262,7 @@ def _nearest_window(pts: np.ndarray, depth_m: float = 10.0,
     return r <= anchor + depth_m
 
 
-def _build_estimate(method: str, slope: float, icept: float,
+def _build_estimate(slope: float, icept: float,
                     inliers: np.ndarray, count: int) -> SurfaceEstimate:
     theta = math.degrees(math.atan(slope))
     direction = np.array([math.cos(math.radians(theta)),
@@ -292,7 +273,7 @@ def _build_estimate(method: str, slope: float, icept: float,
     mid = 0.5 * (float(proj.max()) + float(proj.min()))
     anchor = np.array([0.0, icept])
     center = anchor + (mid - float(anchor @ direction)) * direction
-    return SurfaceEstimate(detected=True, estimator_id=method,
+    return SurfaceEstimate(detected=True,
                            center_x=float(center[0]), center_y=float(center[1]),
                            length=extent, orientation_deg=theta,
                            intercept=icept, inlier_count=count)
@@ -302,37 +283,49 @@ _EXTRACTION_HEADROOM = 16   # candidates beyond k, so a strong point return
                             # cannot crowd the wall out of the candidate set
 
 
-def _stage1_peaks(ra_map: RangeAngleMap, k: int, noise_floor_db: float,
+def _stage1_peaks(ra_map: RangeAngleMap, k: int,
                   max_range_m: float | None) -> list:
-    """Strongest in-FOV candidates (optionally only below ``max_range_m``),
-    at most one per range-resolution cell: the exclusion radius is the
-    MAP_SIZE / N map rows a resolution cell spans, so each occupied wall
-    cell can contribute its own candidate."""
+    """Strongest in-FOV candidates (optionally only below ``max_range_m``)
+    at least 12 dB above the median map magnitude, at most one per
+    range-resolution cell: the exclusion radius is the MAP_SIZE / N map
+    rows a resolution cell spans, so each occupied wall cell can contribute
+    its own candidate."""
     valid = ra_map.fov_mask()
     if max_range_m is not None:
         valid = valid & (ra_map.range_axis_m[:, None] <= max_range_m)
     cell_rows = MAP_SIZE // ra_map.radar.num_samples
     return extract_peaks(ra_map, k + _EXTRACTION_HEADROOM,
                          exclusion_radius_bins=cell_rows,
-                         noise_floor_db=noise_floor_db, valid=valid)
+                         noise_floor_db=12.0, valid=valid)
 
 
-def _ransac_estimator(ra_map: RangeAngleMap, k: int, config: RansacConfig,
-                      min_length: float, noise_floor_db: float,
-                      max_range_m: float | None = None) -> SurfaceEstimate:
-    peaks = _stage1_peaks(ra_map, k, noise_floor_db, max_range_m)
+def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
+                     config: RansacConfig = STAGE1_RANSAC,
+                     min_length: float = 1.0,
+                     max_range_m: float | None = None) -> SurfaceEstimate:
+    """Stage I: detect the reflective surface and estimate its parameters.
+
+    Extracts the ``k`` strongest in-FOV peaks (optionally only below
+    ``max_range_m``), at most one per range-resolution cell, converts them
+    to Cartesian coordinates and fits a consensus line.  The surface counts
+    as detected when the consensus set has at least ``config.min_inliers``
+    members (three by default, see ``STAGE1_RANSAC``) spanning at least
+    ``min_length`` meters.  Absence of a surface is a regular not-detected
+    outcome, never an error.
+    """
+    peaks = _stage1_peaks(ra_map, k, max_range_m)
     if len(peaks) < config.min_inliers:
-        return SurfaceEstimate.not_detected("ransac")
+        return SurfaceEstimate.not_detected()
     shadowed = _sidelobe_shadowed(peaks)
     peaks = [p for p, s in zip(peaks, shadowed) if not s]
     if len(peaks) < config.min_inliers:
-        return SurfaceEstimate.not_detected("ransac")
+        return SurfaceEstimate.not_detected()
     pts = _refined_cartesian(ra_map, peaks)
     mags = np.array([p.magnitude for p in peaks])
 
     near = _nearest_window(pts)
     if near.sum() < config.min_inliers:
-        return SurfaceEstimate.not_detected("ransac")
+        return SurfaceEstimate.not_detected()
     pts, mags = pts[near], mags[near]
 
     # peel up to three disjoint consensus lines, then prefer the largest
@@ -344,8 +337,7 @@ def _ransac_estimator(ra_map: RangeAngleMap, k: int, config: RansacConfig,
         if keep.sum() < config.min_inliers:
             break
         try:
-            slope, icept, sub = _fit_with_vertical_fallback(pts[keep],
-                                                            "ransac", config)
+            slope, icept, sub = _fit_with_vertical_fallback(pts[keep], config)
         except (FitError, NoConsensusError):
             break
         mask = np.zeros(len(pts), dtype=bool)
@@ -365,72 +357,17 @@ def _ransac_estimator(ra_map: RangeAngleMap, k: int, config: RansacConfig,
         if best is None or score > best[3]:
             best = (slope, icept, mask, score)
     if best is None:
-        return SurfaceEstimate.not_detected("ransac")
+        return SurfaceEstimate.not_detected()
     slope, icept, mask, _ = best
 
     # widen the consensus along the selected line, magnitude weighted
     slope2, icept2, re_mask = _reestimate(pts, slope, icept,
-                                          config.inlier_threshold,
-                                          weights=mags)
+                                          config.inlier_threshold, mags)
     if re_mask.sum() >= mask.sum():
         slope, icept, mask = slope2, icept2, re_mask
     if mask.sum() < config.min_inliers:
-        return SurfaceEstimate.not_detected("ransac")
-    est = _build_estimate("ransac", slope, icept, pts[mask], int(mask.sum()))
+        return SurfaceEstimate.not_detected()
+    est = _build_estimate(slope, icept, pts[mask], int(mask.sum()))
     if est.length < min_length:
-        return SurfaceEstimate.not_detected("ransac")
+        return SurfaceEstimate.not_detected()
     return est
-
-
-def _ls_estimator(ra_map: RangeAngleMap, k: int, config: RansacConfig,
-                  min_length: float, noise_floor_db: float,
-                  max_range_m: float | None = None) -> SurfaceEstimate:
-    peaks = _stage1_peaks(ra_map, k, noise_floor_db, max_range_m)
-    if len(peaks) < 2:
-        return SurfaceEstimate.not_detected("ls")
-    pts = to_cartesian(peaks)
-    try:
-        slope, icept, mask = _fit_with_vertical_fallback(pts, "ls", config)
-    except (FitError, NoConsensusError):
-        return SurfaceEstimate.not_detected("ls")
-    if mask.sum() < config.min_inliers:
-        return SurfaceEstimate.not_detected("ls")
-    est = _build_estimate("ls", slope, icept, pts[mask], int(mask.sum()))
-    if est.length < min_length:
-        return SurfaceEstimate.not_detected("ls")
-    return est
-
-
-_ESTIMATORS: dict[str, Callable] = {
-    "ls": _ls_estimator,
-    "ransac": _ransac_estimator,
-}
-
-
-def register_surface_estimator(name: str, fn: Callable) -> None:
-    """Register a Stage I estimator ``fn(ra_map, k, config, min_length,
-    noise_floor_db, max_range_m=None) -> SurfaceEstimate`` under ``name``."""
-    _ESTIMATORS[name] = fn
-
-
-def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
-                     method: str = "ransac",
-                     config: RansacConfig = STAGE1_RANSAC,
-                     min_length: float = 1.0,
-                     noise_floor_db: float = 12.0,
-                     max_range_m: float | None = None) -> SurfaceEstimate:
-    """Stage I: detect the reflective surface and estimate its parameters.
-
-    Extracts the ``k`` strongest in-FOV peaks (optionally only below
-    ``max_range_m``), at most one per range-resolution cell, converts them
-    to Cartesian coordinates and fits a line with the selected estimator.
-    The surface counts as detected when the consensus set has at least
-    ``config.min_inliers`` members (three by default, see ``STAGE1_RANSAC``)
-    spanning at least ``min_length`` meters.  Absence of a surface is a
-    regular not-detected outcome, never an error.
-    """
-    if method not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {method!r}; "
-                         f"registered: {sorted(_ESTIMATORS)}")
-    return _ESTIMATORS[method](ra_map, k, config, min_length, noise_floor_db,
-                               max_range_m=max_range_m)

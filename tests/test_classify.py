@@ -75,7 +75,7 @@ def test_masks_example_cells(radar, strip_surface):
 
 def test_masks_require_detection(radar):
     with pytest.raises(ValueError):
-        build_masks(SurfaceEstimate.not_detected("ransac"), _flat_map(radar))
+        build_masks(SurfaceEstimate.not_detected(), _flat_map(radar))
 
 
 def test_masks_match_brute_force(radar):
@@ -226,7 +226,7 @@ def test_decide_no_surface_is_los(radar):
                         scene_class=SceneClass.LOS_NO_SURFACE, seed=1)
     echo = synthesize(spec)
     m = compute_ra_map(echo, radar)
-    dec = decide(SurfaceEstimate.not_detected("ransac"), m)
+    dec = decide(SurfaceEstimate.not_detected(), m)
     assert dec.hypothesis is Hypothesis.LOS
     assert dec.peak_range_m == pytest.approx(12.0, abs=2 * radar.range_bin_m)
     assert dec.peak_angle_deg == pytest.approx(10.0, abs=2.0)
@@ -266,18 +266,6 @@ def test_decision_scale_invariance(radar, far_surface):
     assert (d1.peak_range_bin, d1.peak_angle_bin) \
         == (d2.peak_range_bin, d2.peak_angle_bin)
     assert d1.hypothesis == d2.hypothesis
-
-
-def test_refined_peak_decision(radar, far_surface):
-    target = target_from_prp(far_surface, 6.3, 11.9)
-    spec = ScenarioSpec(radar=radar, surface=far_surface, target=target,
-                        snr=SnrSpec(30.0, 60.0),
-                        scene_class=SceneClass.NLOS, seed=5)
-    m = compute_ra_map(synthesize(spec, include_noise=False), radar)
-    coarse = decide(_estimate(far_surface), m, refine=False)
-    fine = decide(_estimate(far_surface), m, refine=True)
-    assert fine.hypothesis == coarse.hypothesis
-    assert abs(fine.peak_range_m - coarse.peak_range_m) <= radar.max_range_m / MAP_SIZE
 
 
 def test_pgm_export(tmp_path, radar, strip_surface):

@@ -17,8 +17,11 @@ from nlosradar import (
     SnrSpec,
     SurfaceEstimate,
     compute_ra_map,
+    decide,
+    localize,
     randomize_scenario,
     scenario_from_doc,
+    synthesize,
 )
 from nlosradar import harness
 from nlosradar.classify import HypothesisDecision
@@ -130,12 +133,14 @@ def test_run_trial_memory_peak(scene, monkeypatch):
 
 
 def test_run_trial_truth_surface_noiseless():
+    # Stages II and III on the true wall: the 70 dB target is decided NLOS
+    # and localized through the wall's specular geometry
     spec = scenario_from_doc(reference_scene_doc(30.0, 70.0)).with_seed(1)
-    rec = run_trial(spec, PipelineOptions(use_truth_surface=True))
-    assert rec.ok
-    assert rec.estimate.estimator_id == "truth"
-    assert rec.stage1_rung is None
-    assert rec.decision.hypothesis is Hypothesis.NLOS
+    estimate = SurfaceEstimate.from_truth(spec.surface)
+    decision = decide(estimate, compute_ra_map(synthesize(spec), spec.radar))
+    assert decision.hypothesis is Hypothesis.NLOS
+    loc = localize(decision, estimate)
+    assert loc.hypothesis is Hypothesis.NLOS and loc.feasible
 
 
 def test_run_trial_captures_stage_errors(radar):
@@ -149,6 +154,19 @@ def test_run_trial_captures_stage_errors(radar):
     assert not rec.ok
     assert "OutOfWindow" in rec.error
     assert rec.localization is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_stage_error_escapes_run_sweep(workers, monkeypatch):
+    # only the errors a well-formed scene can raise are recorded per trial;
+    # a fault in the program must reach the caller, threaded or not
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage fault")
+
+    monkeypatch.setattr(harness, "decide", broken)
+    sweep = sweep_delta_snr(grid=(20.0,), trials_per_point=2, seed=0)
+    with pytest.raises(RuntimeError, match="stage fault"):
+        run_sweep(sweep, PipelineOptions(), workers=workers)
 
 
 def test_rmse_identity_against_stored_errors():
@@ -246,7 +264,7 @@ def test_snr_w_sweep_sets_surface_level():
 def _hand_record(scene_class, walled, detected, error_xy, decided_nlos):
     surface = (2.0, 18.0, 8.0, 25.0) if walled else None
     est = (SurfaceEstimate.from_truth(ReflectiveSurface(2.0, 18.0, 8.0, 25.0))
-           if detected else SurfaceEstimate.not_detected("ransac"))
+           if detected else SurfaceEstimate.not_detected())
     hyp = Hypothesis.NLOS if decided_nlos else Hypothesis.LOS
     ex, ey = error_xy
     return TrialRecord(

@@ -48,7 +48,7 @@ def test_localize_los_polar_conversion():
 
 
 def test_localize_two_bounce_chain():
-    est = SurfaceEstimate(detected=True, estimator_id="truth",
+    est = SurfaceEstimate(detected=True,
                           center_x=3.3, center_y=23.3, length=8.8,
                           orientation_deg=25.0,
                           intercept=21.761184728088505)
@@ -84,7 +84,7 @@ def test_localize_exact_inverse_on_random_scenes():
 
 
 def test_localize_infeasible_peak_closer_than_surface():
-    est = SurfaceEstimate(detected=True, estimator_id="truth",
+    est = SurfaceEstimate(detected=True,
                           center_x=0.0, center_y=10.0, length=8.0,
                           orientation_deg=0.0, intercept=10.0)
     res = localize(_decision(Hypothesis.NLOS, 0.0, 8.0), est)
@@ -94,7 +94,7 @@ def test_localize_infeasible_peak_closer_than_surface():
 
 
 def test_localize_divergent_bearing_degrades():
-    est = SurfaceEstimate(detected=True, estimator_id="truth",
+    est = SurfaceEstimate(detected=True,
                           center_x=0.0, center_y=10.0, length=8.0,
                           orientation_deg=45.0, intercept=10.0)
     res = localize(_decision(Hypothesis.NLOS, 80.0, 30.0), est)
@@ -104,13 +104,13 @@ def test_localize_divergent_bearing_degrades():
 def test_localize_requires_detected_estimate():
     with pytest.raises(ValueError):
         localize(_decision(Hypothesis.NLOS, 5.0, 30.0),
-                 SurfaceEstimate.not_detected("ransac"))
+                 SurfaceEstimate.not_detected())
     with pytest.raises(ValueError):
         localize(_decision(Hypothesis.NLOS, 5.0, 30.0), None)
 
 
 def test_localize_continuity_small_perturbations():
-    est = SurfaceEstimate(detected=True, estimator_id="truth",
+    est = SurfaceEstimate(detected=True,
                           center_x=3.3, center_y=23.3, length=8.8,
                           orientation_deg=25.0,
                           intercept=21.761184728088505)

@@ -205,7 +205,7 @@ def test_scene_file_with_two_transmitters_rejected():
     with pytest.raises(ValueError, match="num_tx"):
         scenario_from_doc(doc)
     doc["radar"]["num_tx"] = 1
-    assert scenario_from_doc(doc).radar.num_tx == 1
+    assert scenario_from_doc(doc).radar == RadarConfig()
 
 
 def test_phi_draw_within_surface_extent():
