@@ -13,7 +13,6 @@ from .classify import (
     HypothesisDecision,
     build_masks,
     decide,
-    masked_argmax,
     write_masks_pgm,
 )
 from .echo import (
@@ -41,13 +40,13 @@ from .geometry import (
     RadarConfig,
     ReflectiveSurface,
     SurfacePointSet,
-    departure_angle_deg,
     discretize_surface,
     effective_reflectors,
     ground_truth_target,
     mirror_across_surface,
     occludes,
     polar_to_xy,
+    range_to_prp,
     solve_prp,
     xy_to_polar,
 )
@@ -69,7 +68,7 @@ from .harness import (
     trial_seed,
     write_sweep_csv,
 )
-from .localize import LocalizationResult, localize, range_to_prp
+from .localize import LocalizationResult, localize
 from .ramap import (
     MAP_SIZE,
     Peak,
@@ -77,7 +76,6 @@ from .ramap import (
     compute_ra_map,
     extract_peaks,
     refine_peak_quadratic,
-    to_cartesian,
     write_magnitude_csv,
     write_map_binary,
 )

@@ -171,18 +171,6 @@ def build_masks(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
     return FovMasks(union, r, sin_a, cos_a, band)
 
 
-def masked_argmax(ra_map: RangeAngleMap,
-                  masks: FovMasks) -> tuple[float, float, float, Hypothesis]:
-    """Strongest cell over the union of the two regions.
-
-    Returns (angle_deg, range_m, magnitude, region) where region labels the
-    mask containing the winner.  Raises ValueError on an empty union.
-    """
-    i, j = _argmax_cell(ra_map, masks.union)
-    return (float(ra_map.angle_axis_deg[j]), float(ra_map.range_axis_m[i]),
-            float(ra_map.magnitude[i, j]), masks.region(i, j))
-
-
 def decide(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
            guard_m: float = 1.0) -> HypothesisDecision:
     """Hypothesis decision:

@@ -123,9 +123,10 @@ def scattering_gain(incidence_angle_deg, scatter_direction_deg, theta_w_deg,
     """Amplitude gain of the forward-scatter lobe, between 0 and lambda_ratio.
 
     ``incidence_angle_deg`` is the bearing of the illuminating ray from the
-    radar; ``scatter_direction_deg`` is the departure angle of the outgoing
-    ray (see geometry.departure_angle_deg).  The lobe is centered on the
-    specular departure direction incidence + 2*theta_w:
+    radar; ``scatter_direction_deg`` is the departure angle psi of the
+    outgoing ray, which travels along the unit vector (sin psi, -cos psi).
+    The lobe is centered on the specular departure direction
+    incidence + 2*theta_w:
 
         gain^2 = lambda^2 * ((1 + cos(delta)) / 2) ** psi
 
@@ -490,9 +491,7 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
         components["target"] = synthesize_target_echo(
             reflectors, radar, spec.surface, spec.target.xy, draw, waveform,
             amplitude=target_amp)
-    elif spec.target is not None and spec.scene_class in (
-            SceneClass.LOS_NO_SURFACE, SceneClass.LOS_SURFACE_NO_MP,
-            SceneClass.LOS_SURFACE_MP):
+    elif spec.target is not None:
         components["target"] = synthesize_direct_echo(
             spec.target.xy, radar, waveform, amplitude=target_amp,
             coeff=draw.target_coeff)

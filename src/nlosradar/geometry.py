@@ -43,19 +43,6 @@ def xy_to_polar(xy) -> tuple[float, float]:
     return math.hypot(x, y), math.degrees(math.atan2(x, y))
 
 
-def departure_angle_deg(from_xy, to_xy) -> float:
-    """Bearing of the outgoing ray from_xy -> to_xy in the departing sense.
-
-    A ray leaving a surface point at departure angle psi travels along the
-    unit vector (sin psi, -cos psi); a specularly reflected ray arriving at
-    incidence bearing phi on a surface of orientation theta departs at
-    psi = phi + 2*theta.
-    """
-    dx = float(to_xy[0]) - float(from_xy[0])
-    dy = float(to_xy[1]) - float(from_xy[1])
-    return math.degrees(math.atan2(dx, -dy))
-
-
 @dataclass(frozen=True)
 class RadarConfig:
     """Receive-array and waveform-budget configuration of the radar.
@@ -166,11 +153,6 @@ class PointTarget:
 
     x: float
     y: float
-    rcs_mean_power: float = 1.0
-
-    def __post_init__(self):
-        if self.rcs_mean_power <= 0:
-            raise ValueError("rcs_mean_power must be positive")
 
     @property
     def xy(self) -> np.ndarray:
@@ -312,6 +294,26 @@ def solve_prp(surface: ReflectiveSurface, radar_origin, target) -> PrpSolution:
     phi = math.degrees(math.atan2(rel[0], rel[1]))
     return PrpSolution(prp=(float(prp[0]), float(prp[1])), angle_deg=phi,
                        r_radar_prp=r1, r_prp_target=r2, on_segment=on_segment)
+
+
+def range_to_prp(b_hat: float, theta_hat_deg: float, phi_ko_deg: float) -> float:
+    """Range R1 from the radar to the specular point along bearing phi_ko,
+
+        R1 = b / (cos(phi) - tan(theta) * sin(phi)),
+
+    on the support line of intercept b and orientation theta.  Raises
+    GeometryError when the bearing runs parallel to or diverges from the
+    line (non-positive denominator), or when the line meets the bearing
+    through or behind the radar (non-positive R1).
+    """
+    p = math.radians(phi_ko_deg)
+    den = math.cos(p) - math.tan(math.radians(theta_hat_deg)) * math.sin(p)
+    if den <= 0.0:
+        raise GeometryError("bearing does not intersect the surface line")
+    r1 = b_hat / den
+    if r1 <= 0.0:
+        raise GeometryError("surface support line through or behind the radar")
+    return r1
 
 
 def ground_truth_target(phi_ko_deg: float, r1: float, r2: float,

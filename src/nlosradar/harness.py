@@ -342,32 +342,26 @@ def run_sweep(sweep: SweepSpec, options: PipelineOptions = PipelineOptions(),
     ``keep_records`` is true.  Output is identical for any worker count:
     trials are aggregated in (point, trial) index order after execution.
     """
-    tasks: list[tuple[int, int, ScenarioSpec]] = []
+    tasks: list[tuple[int, ScenarioSpec]] = []
     for i, value in enumerate(sweep.grid):
         if sweep.mode == "fixed":
             specs = _fixed_point_specs(sweep, i, float(value))
         else:
             specs = _identification_point_specs(sweep, i, float(value))
-        tasks.extend((i, j, s) for j, s in enumerate(specs))
+        tasks.extend((i, s) for s in specs)
 
-    results: dict[tuple[int, int], TrialRecord] = {}
     if workers <= 1:
-        for i, j, spec in tasks:
-            results[(i, j)] = run_trial(spec, options)
+        records = [run_trial(spec, options) for _, spec in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = pool.map(lambda t: run_trial(t[2], options), tasks)
-            for (i, j, _), rec in zip(tasks, records):
-                results[(i, j)] = rec
+            records = list(pool.map(lambda t: run_trial(t[1], options), tasks))
 
-    rows = []
-    by_point: list[list[TrialRecord]] = []
-    for i, value in enumerate(sweep.grid):
-        point = [results[key] for key in sorted(results) if key[0] == i]
-        rows.append(_aggregate(float(value), point))
-        if keep_records:
-            by_point.append(point)
-    return rows, by_point
+    by_point: list[list[TrialRecord]] = [[] for _ in sweep.grid]
+    for (i, _), rec in zip(tasks, records):
+        by_point[i].append(rec)
+    rows = [_aggregate(float(value), point)
+            for value, point in zip(sweep.grid, by_point)]
+    return rows, (by_point if keep_records else [])
 
 
 def _fmt(v) -> str:

@@ -13,18 +13,22 @@ geometry
     y = R1 cos(phi) - R2 cos(2 theta + phi).
 
 Geometrically infeasible NLOS peaks (bearing diverging from the surface
-line, or a peak closer than the surface itself) degrade to a flagged
-result carrying the direct polar conversion, rather than being silently
-reclassified as LOS.
+line, a support line through or behind the radar, or a peak closer than
+the surface itself) degrade to a flagged result carrying the direct polar
+conversion, rather than being silently reclassified as LOS.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .classify import Hypothesis, HypothesisDecision
-from .geometry import GeometryError, polar_to_xy
+from .geometry import (
+    GeometryError,
+    ground_truth_target,
+    polar_to_xy,
+    range_to_prp,
+)
 from .surface import SurfaceEstimate
 
 
@@ -44,19 +48,6 @@ class LocalizationResult:
         return (f"{self.hypothesis.value},{self.x:.6f},{self.y:.6f},"
                 f"{num(self.r_radar_prp)},{num(self.r_prp_target)},"
                 f"{num(self.phi_ko_deg)},{self.feasible}")
-
-
-def range_to_prp(b_hat: float, theta_hat_deg: float, phi_ko_deg: float) -> float:
-    """Range from the radar to the specular point along bearing phi_ko.
-
-    Raises GeometryError when the bearing runs parallel to or diverges
-    from the estimated support line (non-positive denominator).
-    """
-    p = math.radians(phi_ko_deg)
-    den = math.cos(p) - math.tan(math.radians(theta_hat_deg)) * math.sin(p)
-    if den <= 0.0:
-        raise GeometryError("bearing does not intersect the surface line")
-    return b_hat / den
 
 
 def localize(decision: HypothesisDecision,
@@ -90,10 +81,8 @@ def localize(decision: HypothesisDecision,
                                   feasible=False, r_radar_prp=r1,
                                   r_prp_target=r2, phi_ko_deg=phi)
 
-    p = math.radians(phi)
-    q = math.radians(2.0 * estimate.orientation_deg + phi)
-    x = r1 * math.sin(p) + r2 * math.sin(q)
-    y = r1 * math.cos(p) - r2 * math.cos(q)
-    return LocalizationResult(hypothesis=Hypothesis.NLOS, x=x, y=y,
+    xy = ground_truth_target(phi, r1, r2, estimate.orientation_deg)
+    return LocalizationResult(hypothesis=Hypothesis.NLOS,
+                              x=float(xy[0]), y=float(xy[1]),
                               feasible=True, r_radar_prp=r1, r_prp_target=r2,
                               phi_ko_deg=phi)

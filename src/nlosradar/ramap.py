@@ -209,15 +209,6 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
     return peaks
 
 
-def to_cartesian(peaks: list[Peak]) -> np.ndarray:
-    """(x, y) = (R sin(phi), R cos(phi)) per peak; output (n, 2)."""
-    if not peaks:
-        return np.zeros((0, 2))
-    r = np.array([p.range_m for p in peaks])
-    a = np.radians([p.angle_deg for p in peaks])
-    return np.column_stack([r * np.sin(a), r * np.cos(a)])
-
-
 def refine_peak_quadratic(ra_map: RangeAngleMap, range_bin: int,
                           angle_bin: int) -> tuple[float, float]:
     """Sub-bin (range_m, angle_deg) via a 3-point parabola along each axis."""

@@ -41,6 +41,7 @@ from .geometry import (
     ground_truth_target,
     occludes,
     polar_to_xy,
+    range_to_prp,
     solve_prp,
     xy_to_polar,
 )
@@ -87,15 +88,10 @@ def target_from_prp(surface: ReflectiveSurface, phi_ko_deg: float,
 
     The ray at bearing phi_Ko meets the surface support line at range R1;
     the target sits R2 beyond that point along the specular departure
-    direction.  Raises GeometryError when the ray diverges from the line.
+    direction.  Raises GeometryError when the ray does not meet the line
+    in front of the radar, or when R2 is not positive.
     """
-    p = math.radians(phi_ko_deg)
-    den = math.cos(p) - surface.slope * math.sin(p)
-    if den <= 0:
-        raise GeometryError("bearing does not meet the surface support line")
-    r1 = surface.intercept / den
-    if r1 <= 0:
-        raise GeometryError("surface support line behind the radar")
+    r1 = range_to_prp(surface.intercept, surface.orientation_deg, phi_ko_deg)
     xy = ground_truth_target(phi_ko_deg, r1, r2, surface.orientation_deg)
     return PointTarget(x=float(xy[0]), y=float(xy[1]))
 

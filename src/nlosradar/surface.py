@@ -30,19 +30,20 @@ class NoConsensusError(ValueError):
     """No consensus hypothesis reached the minimum inlier count."""
 
 
+# Two-point hypotheses drawn per consensus fit.
+RANSAC_ITERATIONS = 500
+
+
 @dataclass(frozen=True)
 class RansacConfig:
     """Consensus-fit settings.  ``min_inliers`` is the consensus size
     ``fit_ransac`` demands; Stage I runs with ``STAGE1_RANSAC``."""
 
-    iterations: int = 500
     inlier_threshold: float = 0.4       # perpendicular distance, meters
     min_inliers: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier threshold must be positive")
 
@@ -79,12 +80,6 @@ class SurfaceEstimate:
                    orientation_deg=surface.orientation_deg,
                    intercept=surface.intercept, inlier_count=0)
 
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        a = math.radians(self.orientation_deg)
-        d = np.array([math.cos(a), math.sin(a)])
-        c = np.array([self.center_x, self.center_y])
-        return c - 0.5 * self.length * d, c + 0.5 * self.length * d
-
     def to_csv_row(self) -> str:
         if not self.detected:
             return f"False,,,,,{self.inlier_count}"
@@ -116,9 +111,10 @@ def fit_ransac(points: np.ndarray,
                config: RansacConfig = RansacConfig()) -> tuple[float, float, np.ndarray]:
     """Random-consensus line fit; returns (slope, intercept, inlier mask).
 
-    Two-point hypotheses are drawn with a seeded generator; the hypothesis
-    with the most perpendicular-distance inliers wins and is refined with a
-    least-squares fit over its inliers.  Deterministic for a given seed.
+    ``RANSAC_ITERATIONS`` two-point hypotheses are drawn with a seeded
+    generator; the hypothesis with the most perpendicular-distance inliers
+    wins and is refined with a least-squares fit over its inliers.
+    Deterministic for a given seed.
     Raises NoConsensusError when no hypothesis reaches ``min_inliers``.
     """
     pts = np.asarray(points, dtype=float)
@@ -127,8 +123,8 @@ def fit_ransac(points: np.ndarray,
         raise NoConsensusError("fewer points than the minimum inlier count")
 
     rng = np.random.default_rng(config.seed)
-    first = rng.integers(0, n, size=config.iterations)
-    second = rng.integers(0, n - 1, size=config.iterations)
+    first = rng.integers(0, n, size=RANSAC_ITERATIONS)
+    second = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
     second = np.where(second >= first, second + 1, second)   # distinct pairs
 
     p1, p2 = pts[first], pts[second]
@@ -136,7 +132,7 @@ def fit_ransac(points: np.ndarray,
     ok = np.abs(dx) > 1e-12
     slope = np.where(ok, (p2[:, 1] - p1[:, 1]) / np.where(ok, dx, 1.0), 0.0)
     icept = p1[:, 1] - slope * p1[:, 0]
-    # perpendicular distances, (iterations, n)
+    # perpendicular distances, (RANSAC_ITERATIONS, n)
     dist = np.abs(pts[None, :, 1] - slope[:, None] * pts[None, :, 0]
                   - icept[:, None]) / np.sqrt(1.0 + slope[:, None]**2)
     inlier = (dist <= config.inlier_threshold) & ok[:, None]
@@ -148,26 +144,6 @@ def fit_ransac(points: np.ndarray,
     mask = inlier[best]
     slope_r, icept_r = fit_ls(pts[mask])
     return slope_r, icept_r, mask
-
-
-def _fit_with_vertical_fallback(pts: np.ndarray, config: RansacConfig):
-    """Consensus fit in the native frame; retry in a 90-degree rotated frame
-    when the points are near vertical, mapping the line back afterwards."""
-    spread_x = float(np.std(pts[:, 0]))
-    spread_y = float(np.std(pts[:, 1]))
-    try:
-        if spread_x >= 0.05 * spread_y:
-            slope, icept, mask = fit_ransac(pts, config)
-            if abs(slope) <= math.tan(math.radians(80.0)):
-                return slope, icept, mask
-    except FitError:
-        pass
-    # rotate by -90 degrees: (x, y) -> (y, -x), fit, rotate the line back
-    rot = np.column_stack([pts[:, 1], -pts[:, 0]])
-    slope_r, icept_r, mask = fit_ransac(rot, config)
-    if abs(slope_r) < 1e-12:
-        raise FitError("fitted line vertical in the native frame")
-    return -1.0 / slope_r, -icept_r / slope_r, mask
 
 
 def _weighted_ls(pts: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -328,16 +304,16 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
         return SurfaceEstimate.not_detected()
     pts, mags = pts[near], mags[near]
 
-    # peel up to three disjoint consensus lines, then prefer the largest
-    # consensus, breaking ties by echo energy (the genuine ridge carries
-    # far more than the speckle skirt)
+    # peel up to three disjoint consensus lines and keep the largest
+    # consensus; the earlier peel wins a tie.  Lines are fitted as y on x
+    # only: the orientation gate below rejects anything steeper than 47 deg
     best = None
     keep = np.ones(len(pts), dtype=bool)
     for _ in range(3):
         if keep.sum() < config.min_inliers:
             break
         try:
-            slope, icept, sub = _fit_with_vertical_fallback(pts[keep], config)
+            slope, icept, sub = fit_ransac(pts[keep], config)
         except (FitError, NoConsensusError):
             break
         mask = np.zeros(len(pts), dtype=bool)
@@ -353,20 +329,17 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
             continue
         if not -5.0 <= math.degrees(math.atan(slope)) <= 47.0:
             continue
-        score = (int(mask.sum()), float(mags[mask].sum()))
-        if best is None or score > best[3]:
-            best = (slope, icept, mask, score)
+        if best is None or mask.sum() > best[2].sum():
+            best = (slope, icept, mask)
     if best is None:
         return SurfaceEstimate.not_detected()
-    slope, icept, mask, _ = best
+    slope, icept, mask = best
 
     # widen the consensus along the selected line, magnitude weighted
     slope2, icept2, re_mask = _reestimate(pts, slope, icept,
                                           config.inlier_threshold, mags)
     if re_mask.sum() >= mask.sum():
         slope, icept, mask = slope2, icept2, re_mask
-    if mask.sum() < config.min_inliers:
-        return SurfaceEstimate.not_detected()
     est = _build_estimate(slope, icept, pts[mask], int(mask.sum()))
     if est.length < min_length:
         return SurfaceEstimate.not_detected()

@@ -16,7 +16,6 @@ from nlosradar import (
     build_masks,
     compute_ra_map,
     decide,
-    masked_argmax,
     polar_to_xy,
     synthesize,
     target_from_prp,
@@ -181,24 +180,22 @@ def test_decide_region_matches_masks(radar):
         assert masks.union[i, j]
         assert dec.hypothesis is (Hypothesis.NLOS if masks.nlos[i, j]
                                   else Hypothesis.LOS)
-        _, _, mag, region = masked_argmax(m, masks)
-        assert (mag, region) == (dec.peak_magnitude, dec.hypothesis)
+        assert dec.peak_magnitude == float(m.magnitude[masks.union].max())
 
 
-def test_masked_argmax_nlos_impulse(radar, strip_surface):
+def test_decide_nlos_impulse(radar, strip_surface):
     values = np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex)
     m0 = _flat_map(radar)
     i, j = m0.nearest_range_bin(20.0), m0.nearest_angle_bin(0.0)
     values[i, j] = 9.0
     m = RangeAngleMap(values, radar)
-    masks = build_masks(_estimate(strip_surface), m, guard_m=1.0)
-    ang, rng_m, mag, region = masked_argmax(m, masks)
-    assert region is Hypothesis.NLOS
-    assert rng_m == pytest.approx(m.range_axis_m[i])
-    assert mag == pytest.approx(9.0)
+    dec = decide(_estimate(strip_surface), m, guard_m=1.0)
+    assert dec.hypothesis is Hypothesis.NLOS
+    assert dec.peak_range_m == pytest.approx(m.range_axis_m[i])
+    assert dec.peak_magnitude == pytest.approx(9.0)
 
 
-def test_masked_argmax_never_returns_guard_cell(radar, strip_surface):
+def test_decide_never_returns_guard_cell(radar, strip_surface):
     values = np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex)
     m0 = _flat_map(radar)
     # strongest cell sits on the surface strip, a weaker one is visible
@@ -206,17 +203,15 @@ def test_masked_argmax_never_returns_guard_cell(radar, strip_surface):
     vis_i, vis_j = m0.nearest_range_bin(6.0), m0.nearest_angle_bin(30.0)
     values[vis_i, vis_j] = 1.0
     m = RangeAngleMap(values, radar)
-    masks = build_masks(_estimate(strip_surface), m, guard_m=1.0)
-    _, rng_m, mag, region = masked_argmax(m, masks)
-    assert mag == pytest.approx(1.0)
-    assert region is Hypothesis.LOS
+    dec = decide(_estimate(strip_surface), m, guard_m=1.0)
+    assert dec.peak_magnitude == pytest.approx(1.0)
+    assert dec.hypothesis is Hypothesis.LOS
 
 
-def test_masked_argmax_empty_union(radar, strip_surface):
+def test_decide_empty_union(radar, strip_surface):
     m = _flat_map(radar)
-    masks = build_masks(_estimate(strip_surface), m, guard_m=1e6)
     with pytest.raises(ValueError):
-        masked_argmax(m, masks)
+        decide(_estimate(strip_surface), m, guard_m=1e6)
 
 
 def test_decide_no_surface_is_los(radar):

@@ -6,7 +6,6 @@ import pytest
 from nlosradar import (
     GeometryError,
     OutsideFovError,
-    PointTarget,
     RadarConfig,
     ReflectiveSurface,
     discretize_surface,
@@ -197,8 +196,3 @@ def test_occludes():
     assert not occludes(surf, (10.0, 5.0))
     assert not occludes(surf, (0.0, 5.0))          # in front of the wall
     assert not occludes(surf, (8.0, 20.0))         # past the segment end
-
-
-def test_point_target_validation():
-    with pytest.raises(ValueError):
-        PointTarget(0.0, 5.0, rcs_mean_power=0.0)

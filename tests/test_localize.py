@@ -8,6 +8,7 @@ from nlosradar import (
     SurfaceEstimate,
     ground_truth_target,
     localize,
+    polar_to_xy,
     range_to_prp,
     solve_prp,
 )
@@ -99,6 +100,21 @@ def test_localize_divergent_bearing_degrades():
                           orientation_deg=45.0, intercept=10.0)
     res = localize(_decision(Hypothesis.NLOS, 80.0, 30.0), est)
     assert not res.feasible
+
+
+def test_localize_support_line_behind_radar_degrades():
+    # the line y = x tan(10 deg) - 3 meets the 5 degree bearing 3.06 m
+    # behind the radar, so no specular point lies ahead of it
+    est = SurfaceEstimate(detected=True,
+                          center_x=0.0, center_y=-3.0, length=8.0,
+                          orientation_deg=10.0, intercept=-3.0)
+    with pytest.raises(GeometryError):
+        range_to_prp(est.intercept, est.orientation_deg, 5.0)
+    res = localize(_decision(Hypothesis.NLOS, 5.0, 20.0), est)
+    assert not res.feasible
+    assert res.hypothesis is Hypothesis.NLOS
+    assert (res.x, res.y) == pytest.approx(tuple(polar_to_xy(20.0, 5.0)),
+                                           abs=1e-12)
 
 
 def test_localize_requires_detected_estimate():

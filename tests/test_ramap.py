@@ -12,9 +12,9 @@ from nlosradar import (
     scenario_from_doc,
     synthesize,
     synthesize_direct_echo,
-    to_cartesian,
     write_magnitude_csv,
     write_map_binary,
+    xy_to_polar,
 )
 from nlosradar.echo import WaveformConfig, _median
 from nlosradar.harness import reference_scene_doc
@@ -269,24 +269,11 @@ def test_extract_validation(radar):
         extract_peaks(m, k=MAP_SIZE * MAP_SIZE + 1)
 
 
-def test_to_cartesian_examples():
-    peaks = [Peak(0, 0, 1.0, 10.0, 0.0), Peak(0, 0, 1.0, 10.0, 90.0),
-             Peak(0, 0, 1.0, 22.9, 6.3)]
-    xy = to_cartesian(peaks)
-    assert xy[0] == pytest.approx([0.0, 10.0], abs=1e-12)
-    assert xy[1] == pytest.approx([10.0, 0.0], abs=1e-12)
-    assert xy[2] == pytest.approx([2.5129157239849365, 22.761705879923614],
-                                  abs=1e-9)
-    assert to_cartesian([]).shape == (0, 2)
-
-
 def test_polar_round_trip(radar, waveform):
     echo = synthesize_direct_echo(polar_to_xy(21.0, -33.0), radar, waveform)
     m = compute_ra_map(echo, radar)
     peaks = extract_peaks(m, k=1)
-    xy = to_cartesian(peaks)[0]
-    r = np.hypot(*xy)
-    ang = np.degrees(np.arctan2(xy[0], xy[1]))
+    r, ang = xy_to_polar(polar_to_xy(peaks[0].range_m, peaks[0].angle_deg))
     assert r == pytest.approx(peaks[0].range_m, abs=1e-9)
     assert ang == pytest.approx(peaks[0].angle_deg, abs=1e-9)
 

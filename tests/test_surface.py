@@ -117,8 +117,6 @@ def test_fit_ransac_no_consensus():
 
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
-        RansacConfig(iterations=0)
-    with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
 
 
