@@ -96,8 +96,8 @@ from .scenario import (
 from .surface import (
     FitError,
     NoConsensusError,
-    RansacConfig,
     SurfaceEstimate,
+    detect_surface,
     estimate_surface,
     fit_ls,
     fit_ransac,

@@ -13,6 +13,7 @@ above threshold.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -111,6 +112,12 @@ def _sweep_spec(args) -> harness.SweepSpec:
         doc["trials_per_point"] = args.trials
     if args.seed is not None:
         doc["seed"] = args.seed
+    fields = dataclasses.fields(harness.SweepSpec)
+    bad = [f"unknown key {k!r}" for k in sorted(set(doc) - {f.name for f in fields})]
+    bad += [f"missing key {f.name!r}" for f in fields
+            if f.default is dataclasses.MISSING and f.name not in doc]
+    if bad:
+        raise ValueError(f"sweep spec {args.spec}: " + ", ".join(bad))
     doc["grid"] = tuple(doc["grid"])
     return harness.SweepSpec(**doc)
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    MAX_FRAME_SIZE,
     RadarConfig,
     ReflectiveSurface,
     SurfacePointSet,
@@ -391,7 +392,7 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
     """
     waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     m_r, n = samples.shape
-    pad = 256
+    pad = MAX_FRAME_SIZE
     du = radar.element_spacing / radar.carrier_wavelength
     work = samples.astype(complex).copy()
     t_gate = 10.0 ** (stop_db / 20.0)

@@ -22,6 +22,10 @@ import numpy as np
 # Propagation speed, rounded so a 400 MHz sweep gives an exact 0.375 m range bin.
 SPEED_OF_LIGHT = 3.0e8
 
+# Side of the square transform point-return cancellation zero pads a frame
+# to, and so the most receivers and fast-time samples a frame may have.
+MAX_FRAME_SIZE = 256
+
 
 class GeometryError(ValueError):
     """Scene geometry violates an operation's preconditions."""
@@ -63,6 +67,8 @@ class RadarConfig:
     def __post_init__(self):
         if self.num_rx < 2 or self.num_samples < 2:
             raise ValueError("need num_rx >= 2, num_samples >= 2")
+        if max(self.num_rx, self.num_samples) > MAX_FRAME_SIZE:
+            raise ValueError(f"need num_rx, num_samples <= {MAX_FRAME_SIZE}")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
         if self.element_spacing is None:

@@ -17,15 +17,15 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import Hypothesis, HypothesisDecision, decide
-from .echo import OutOfWindowError, suppress_point_returns, synthesize
+from .echo import OutOfWindowError, synthesize
 from .geometry import GeometryError
 from .localize import LocalizationResult, localize
-from .ramap import _argmax_cell, compute_ra_map
+from .ramap import compute_ra_map
 from .scenario import (
     SceneClass,
     ScenarioSpec,
@@ -33,7 +33,7 @@ from .scenario import (
     randomize_scenario,
     scenario_from_doc,
 )
-from .surface import STAGE1_RANSAC, SurfaceEstimate, estimate_surface
+from .surface import SurfaceEstimate, detect_surface
 
 
 @dataclass(frozen=True)
@@ -46,61 +46,19 @@ class PipelineOptions:
 
 
 def default_k(spec: ScenarioSpec) -> int:
-    """Peak count matched to the number of occupied wall range cells."""
+    """``run_trial``'s Stage I peak budget: the range cells the true wall
+    occupies (6 to 64), or 35 without a wall.  Reading the true length, the
+    harness's Stage I is not yet free of prior scene knowledge."""
     if spec.surface is None:
         return 35
     k = math.ceil(spec.surface.length / spec.radar.range_bin_m)
     return int(min(max(k, 6), 64))
 
 
-def _stage1_ladder(echo, ra_map, spec: ScenarioSpec,
-                   options: PipelineOptions) -> tuple[SurfaceEstimate, int | None]:
-    """Stage I as three rungs; each runs only when the ones before found
-    nothing.  Returns the estimate and the index of the rung that detected
-    the wall (None when none did).
-
-    0. The Hann-tapered map of the frame with up to 8 dominant point
-       returns cancelled: a strong two-bounce blob otherwise floods the
-       candidate set with its sidelobe fan.
-    1. When the map's dominant return lies beyond 8.5 m, the same cleaned
-       frame on a fully tapered map, searched only up to 4.5 m short of
-       that return, where multipath structure cannot reach.  The taper
-       merges adjacent ridge cells, so the consensus threshold doubles.
-    2. The Hann-tapered map of the raw frame, for wall-dominant scenes
-       where the cancellation consumed the ridge.
-    """
-    k = default_k(spec)
-    cfg = replace(STAGE1_RANSAC, seed=spec.seed)
-
-    def fit(frame, window, config=cfg, max_range_m=None):
-        return estimate_surface(compute_ra_map(frame, spec.radar, window=window),
-                                k=k, config=config,
-                                min_length=options.min_length,
-                                max_range_m=max_range_m)
-
-    cleaned = suppress_point_returns(echo.samples, spec.radar, max_components=8)
-    est = fit(cleaned, "hann")
-    if est.detected:
-        return est, 0
-
-    i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
-    gate = float(ra_map.range_axis_m[i]) - 4.5
-    if gate > 4.0:
-        wide = replace(cfg, inlier_threshold=2.0 * cfg.inlier_threshold)
-        est = fit(cleaned, "hann2d", wide, gate)
-        if est.detected:
-            return est, 1
-
-    est = fit(echo, "hann")
-    return est, (2 if est.detected else None)
-
-
 @dataclass
 class TrialRecord:
     scene_class: SceneClass
     seed: int
-    snr_surface_db: float
-    snr_target_db: float
     truth_target: tuple[float, float] | None
     truth_surface: tuple[float, float, float, float] | None  # x, y, D, theta
     estimate: SurfaceEstimate | None = None
@@ -134,8 +92,6 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
     """
     record = TrialRecord(
         scene_class=spec.scene_class, seed=spec.seed,
-        snr_surface_db=spec.snr.surface_snr_db,
-        snr_target_db=spec.snr.target_snr_db,
         truth_target=(spec.target.x, spec.target.y) if spec.target else None,
         truth_surface=(spec.surface.center_x, spec.surface.center_y,
                        spec.surface.length, spec.surface.orientation_deg)
@@ -149,8 +105,9 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
         ra_map = compute_ra_map(echo, spec.radar)
         t2 = time.perf_counter()
 
-        estimate, record.stage1_rung = _stage1_ladder(echo, ra_map, spec,
-                                                      options)
+        estimate, record.stage1_rung = detect_surface(
+            echo.samples, ra_map, default_k(spec), seed=spec.seed,
+            min_length=options.min_length)
         t3 = time.perf_counter()
         decision = decide(estimate, ra_map, guard_m=options.guard_m)
         t4 = time.perf_counter()

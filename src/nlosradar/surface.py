@@ -4,7 +4,8 @@ A random-consensus fit, robust to spurious peaks, places a line through
 the strongest map peaks converted to Cartesian points.  The resulting
 estimate carries center, length, orientation and intercept of the fitted
 finite segment, or a not-detected flag when no sufficiently long consensus
-line exists.
+line exists.  ``detect_surface`` is Stage I as the pipeline runs it: the
+fit on up to three maps of the frame, tried in turn.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .echo import suppress_point_returns
 from .ramap import (
     MAP_SIZE,
     RangeAngleMap,
+    _argmax_cell,
+    compute_ra_map,
     extract_peaks,
     refine_peak_quadratic,
 )
@@ -33,26 +37,14 @@ class NoConsensusError(ValueError):
 # Two-point hypotheses drawn per consensus fit.
 RANSAC_ITERATIONS = 500
 
-
-@dataclass(frozen=True)
-class RansacConfig:
-    """Consensus-fit settings.  ``min_inliers`` is the consensus size
-    ``fit_ransac`` demands; Stage I runs with ``STAGE1_RANSAC``."""
-
-    inlier_threshold: float = 0.4       # perpendicular distance, meters
-    min_inliers: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier threshold must be positive")
-
+# Perpendicular distance, meters, within which a point supports a line.
+INLIER_THRESHOLD_M = 0.4
 
 # Stage I candidates are at most one per range-resolution cell, so a wall of
 # the minimum detectable length (1 m against 0.375 m cells at 400 MHz) yields
 # about three of them; three is also the least count that over-determines a
 # line, since a two-point hypothesis always fits its own pair.
-STAGE1_RANSAC = RansacConfig(min_inliers=3)
+MIN_INLIERS = 3
 
 
 @dataclass
@@ -80,13 +72,6 @@ class SurfaceEstimate:
                    orientation_deg=surface.orientation_deg,
                    intercept=surface.intercept, inlier_count=0)
 
-    def to_csv_row(self) -> str:
-        if not self.detected:
-            return f"False,,,,,{self.inlier_count}"
-        return (f"True,{self.center_x:.6f},{self.center_y:.6f},"
-                f"{self.length:.6f},{self.orientation_deg:.6f},"
-                f"{self.inlier_count}")
-
 
 def fit_ls(points: np.ndarray) -> tuple[float, float]:
     """Closed-form least-squares line through (x, y) points.
@@ -108,21 +93,25 @@ def fit_ls(points: np.ndarray) -> tuple[float, float]:
 
 
 def fit_ransac(points: np.ndarray,
-               config: RansacConfig = RansacConfig()) -> tuple[float, float, np.ndarray]:
+               inlier_threshold: float = INLIER_THRESHOLD_M,
+               min_inliers: int = MIN_INLIERS,
+               seed: int = 0) -> tuple[float, float, np.ndarray]:
     """Random-consensus line fit; returns (slope, intercept, inlier mask).
 
-    ``RANSAC_ITERATIONS`` two-point hypotheses are drawn with a seeded
-    generator; the hypothesis with the most perpendicular-distance inliers
-    wins and is refined with a least-squares fit over its inliers.
-    Deterministic for a given seed.
+    ``RANSAC_ITERATIONS`` two-point hypotheses are drawn with a generator
+    seeded by ``seed``; the hypothesis with the most points within
+    ``inlier_threshold`` meters (perpendicular) wins and is refined with a
+    least-squares fit over its inliers.  Deterministic for a given seed.
     Raises NoConsensusError when no hypothesis reaches ``min_inliers``.
     """
+    if inlier_threshold <= 0:
+        raise ValueError("inlier threshold must be positive")
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    if n < config.min_inliers:
+    if n < min_inliers:
         raise NoConsensusError("fewer points than the minimum inlier count")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     first = rng.integers(0, n, size=RANSAC_ITERATIONS)
     second = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
     second = np.where(second >= first, second + 1, second)   # distinct pairs
@@ -135,10 +124,10 @@ def fit_ransac(points: np.ndarray,
     # perpendicular distances, (RANSAC_ITERATIONS, n)
     dist = np.abs(pts[None, :, 1] - slope[:, None] * pts[None, :, 0]
                   - icept[:, None]) / np.sqrt(1.0 + slope[:, None]**2)
-    inlier = (dist <= config.inlier_threshold) & ok[:, None]
+    inlier = (dist <= inlier_threshold) & ok[:, None]
     counts = inlier.sum(axis=1)
     best = int(np.argmax(counts))
-    if counts[best] < config.min_inliers:
+    if counts[best] < min_inliers:
         raise NoConsensusError("no hypothesis reached the minimum inlier count")
 
     mask = inlier[best]
@@ -259,48 +248,40 @@ _EXTRACTION_HEADROOM = 16   # candidates beyond k, so a strong point return
                             # cannot crowd the wall out of the candidate set
 
 
-def _stage1_peaks(ra_map: RangeAngleMap, k: int,
-                  max_range_m: float | None) -> list:
-    """Strongest in-FOV candidates (optionally only below ``max_range_m``)
-    at least 12 dB above the median map magnitude, at most one per
-    range-resolution cell: the exclusion radius is the MAP_SIZE / N map
-    rows a resolution cell spans, so each occupied wall cell can contribute
-    its own candidate."""
+def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
+                     min_length: float = 1.0,
+                     max_range_m: float | None = None,
+                     inlier_threshold: float = INLIER_THRESHOLD_M,
+                     seed: int = 0) -> SurfaceEstimate:
+    """Detect the reflective surface on one map and estimate its parameters.
+
+    Extracts the ``k`` strongest in-FOV peaks (optionally only below
+    ``max_range_m``) at least 12 dB above the median map magnitude, at most
+    one per range-resolution cell, converts them to Cartesian coordinates
+    and fits a consensus line (``fit_ransac`` with ``inlier_threshold`` and
+    ``seed``).  The surface counts as detected when the consensus set has
+    at least ``MIN_INLIERS`` members spanning at least ``min_length``
+    meters.  Absence of a surface is a regular not-detected outcome, never
+    an error.
+    """
     valid = ra_map.fov_mask()
     if max_range_m is not None:
         valid = valid & (ra_map.range_axis_m[:, None] <= max_range_m)
+    # the exclusion radius is the map rows a range-resolution cell spans, so
+    # each occupied wall cell can contribute its own candidate
     cell_rows = MAP_SIZE // ra_map.radar.num_samples
-    return extract_peaks(ra_map, k + _EXTRACTION_HEADROOM,
-                         exclusion_radius_bins=cell_rows,
-                         noise_floor_db=12.0, valid=valid)
-
-
-def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
-                     config: RansacConfig = STAGE1_RANSAC,
-                     min_length: float = 1.0,
-                     max_range_m: float | None = None) -> SurfaceEstimate:
-    """Stage I: detect the reflective surface and estimate its parameters.
-
-    Extracts the ``k`` strongest in-FOV peaks (optionally only below
-    ``max_range_m``), at most one per range-resolution cell, converts them
-    to Cartesian coordinates and fits a consensus line.  The surface counts
-    as detected when the consensus set has at least ``config.min_inliers``
-    members (three by default, see ``STAGE1_RANSAC``) spanning at least
-    ``min_length`` meters.  Absence of a surface is a regular not-detected
-    outcome, never an error.
-    """
-    peaks = _stage1_peaks(ra_map, k, max_range_m)
-    if len(peaks) < config.min_inliers:
-        return SurfaceEstimate.not_detected()
+    peaks = extract_peaks(ra_map, k + _EXTRACTION_HEADROOM,
+                          exclusion_radius_bins=cell_rows,
+                          noise_floor_db=12.0, valid=valid)
     shadowed = _sidelobe_shadowed(peaks)
     peaks = [p for p, s in zip(peaks, shadowed) if not s]
-    if len(peaks) < config.min_inliers:
+    if len(peaks) < MIN_INLIERS:
         return SurfaceEstimate.not_detected()
     pts = _refined_cartesian(ra_map, peaks)
     mags = np.array([p.magnitude for p in peaks])
 
     near = _nearest_window(pts)
-    if near.sum() < config.min_inliers:
+    if near.sum() < MIN_INLIERS:
         return SurfaceEstimate.not_detected()
     pts, mags = pts[near], mags[near]
 
@@ -310,10 +291,11 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
     best = None
     keep = np.ones(len(pts), dtype=bool)
     for _ in range(3):
-        if keep.sum() < config.min_inliers:
+        if keep.sum() < MIN_INLIERS:
             break
         try:
-            slope, icept, sub = fit_ransac(pts[keep], config)
+            slope, icept, sub = fit_ransac(pts[keep], inlier_threshold,
+                                           seed=seed)
         except (FitError, NoConsensusError):
             break
         mask = np.zeros(len(pts), dtype=bool)
@@ -337,10 +319,56 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
 
     # widen the consensus along the selected line, magnitude weighted
     slope2, icept2, re_mask = _reestimate(pts, slope, icept,
-                                          config.inlier_threshold, mags)
+                                          inlier_threshold, mags)
     if re_mask.sum() >= mask.sum():
         slope, icept, mask = slope2, icept2, re_mask
     est = _build_estimate(slope, icept, pts[mask], int(mask.sum()))
     if est.length < min_length:
         return SurfaceEstimate.not_detected()
     return est
+
+
+def detect_surface(samples: np.ndarray, ra_map: RangeAngleMap, k: int,
+                   seed: int = 0,
+                   min_length: float = 1.0) -> tuple[SurfaceEstimate, int | None]:
+    """Stage I: detect the reflective surface in a frame.
+
+    ``samples`` is the frame and ``ra_map`` its untapered detection map,
+    whose radar is the frame's.  ``estimate_surface`` runs with ``k``
+    peaks, ``seed`` and ``min_length`` on up to three maps of the frame,
+    each formed only when the ones before found nothing.  Returns the
+    estimate and the index of the rung that detected the wall (None when
+    none did).
+
+    0. The Hann-tapered map of the frame with up to 8 dominant point
+       returns cancelled: a strong two-bounce blob otherwise floods the
+       candidate set with its sidelobe fan.
+    1. When the detection map's dominant return lies beyond 8.5 m, the same
+       cleaned frame on a fully tapered map, searched only up to 4.5 m
+       short of that return, where multipath structure cannot reach.  The
+       taper merges adjacent ridge cells, so the consensus threshold
+       doubles.
+    2. The Hann-tapered map of the raw frame, for wall-dominant scenes
+       where the cancellation consumed the ridge.
+    """
+    radar = ra_map.radar
+
+    def fit(frame, window, **kwargs):
+        return estimate_surface(compute_ra_map(frame, radar, window=window),
+                                k=k, min_length=min_length, seed=seed, **kwargs)
+
+    cleaned = suppress_point_returns(samples, radar, max_components=8)
+    est = fit(cleaned, "hann")
+    if est.detected:
+        return est, 0
+
+    i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
+    gate = float(ra_map.range_axis_m[i]) - 4.5
+    if gate > 4.0:
+        est = fit(cleaned, "hann2d", max_range_m=gate,
+                  inlier_threshold=2.0 * INLIER_THRESHOLD_M)
+        if est.detected:
+            return est, 1
+
+    est = fit(samples, "hann")
+    return est, (2 if est.detected else None)

@@ -13,7 +13,6 @@ from nlosradar import (
     MAP_SIZE,
     Hypothesis,
     RadarConfig,
-    RansacConfig,
     ReflectiveSurface,
     SceneClass,
     SnrSpec,
@@ -223,7 +222,7 @@ def test_criterion_4_ls_ransac_correctness():
         offset = rng.uniform(5.0, 15.0, 5) * rng.choice([-1.0, 1.0], 5)
         out = anchor + t[:, None] * direction + offset[:, None] * normal
         pts = np.vstack([line, out])
-        _, _, mask = fit_ransac(pts, RansacConfig(seed=seed))
+        _, _, mask = fit_ransac(pts, min_inliers=5, seed=seed)
         if not (mask[:20].all() and not mask[20:].any()):
             ransac_fails += 1
     ok = ls_ok and ransac_fails == 0

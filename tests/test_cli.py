@@ -93,6 +93,22 @@ def test_sweep_spec_file(tmp_path):
     assert (out / "sweep_custom.csv").exists()
 
 
+@pytest.mark.parametrize("change", ["unknown_key", "missing_key"])
+def test_malformed_sweep_spec_is_config_error(tmp_path, capsys, change):
+    doc = {"name": "custom", "swept": "delta_snr", "grid": [20.0],
+           "trials_per_point": 1, "base_scene": {}}
+    if change == "unknown_key":
+        doc["trials"] = 3
+        key = "trials"
+    else:
+        del doc["name"]
+        key = "name"
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_missing_scene_is_config_error(tmp_path):
     code = main(["pipeline", "--scene", str(tmp_path / "nope.json")])
     assert code == 2

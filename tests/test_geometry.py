@@ -32,6 +32,15 @@ def test_radar_config_validation():
         RadarConfig(num_samples=1)
 
 
+def test_radar_config_rejects_frames_larger_than_cancellation():
+    # point-return cancellation zero pads a frame to 256 x 256; a larger
+    # frame would pass scene validation and synthesis, then fail every trial
+    with pytest.raises(ValueError, match="256"):
+        RadarConfig(num_samples=257)
+    with pytest.raises(ValueError, match="256"):
+        RadarConfig(num_rx=257)
+
+
 def test_radar_config_rejects_multiple_transmitters():
     # the synthesizer has no TX dimension, so a transmitter count is not
     # something a radar configuration can be given at all

@@ -18,12 +18,13 @@ from nlosradar import (
     SurfaceEstimate,
     compute_ra_map,
     decide,
+    detect_surface,
     localize,
     randomize_scenario,
     scenario_from_doc,
     synthesize,
 )
-from nlosradar import harness
+from nlosradar import harness, surface
 from nlosradar.classify import HypothesisDecision
 from nlosradar.harness import (
     PipelineOptions,
@@ -100,11 +101,37 @@ def test_run_trial_later_stage1_rungs_find_the_wall(seed, rung):
     assert math.hypot(err["center_x"], err["center_y"]) < 1.0
 
 
+@pytest.mark.parametrize("scene, rung", [
+    ("reference", 0), ("identification-4", 1), ("identification-2", 2),
+    ("surface_free", None)])
+def test_detect_surface_matches_run_trial(scene, rung):
+    """The library's Stage I, called on a frame and its detection map,
+    returns the estimate and rung that ``run_trial`` records, on a scene of
+    each rung and on one where no rung detects a wall."""
+    snr = SnrSpec(30.0, 50.0)
+    if scene == "reference":
+        spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
+    elif scene == "surface_free":
+        spec = randomize_scenario(SceneClass.LOS_NO_SURFACE, 4,
+                                  preset="identification", snr=snr)
+    else:
+        seed = int(scene.split("-")[1])
+        spec = randomize_scenario(SceneClass.NLOS, seed,
+                                  preset="identification", snr=snr)
+    rec = run_trial(spec, PipelineOptions())
+    echo = synthesize(spec)
+    est, got = detect_surface(echo.samples, compute_ra_map(echo, spec.radar),
+                              default_k(spec), seed=spec.seed)
+    assert got == rec.stage1_rung == rung
+    assert est == rec.estimate
+
+
 @pytest.mark.parametrize("scene", ["reference", "surface_free"])
 def test_run_trial_memory_peak(scene, monkeypatch):
     """A trial's live allocations stay under 10 MB: maps hold magnitudes
     only, so a trial never keeps a complex 512 x 512 map (4 MB each).  The
-    surface-free scene climbs all three Stage I rungs, forming four maps."""
+    surface-free scene climbs all three Stage I rungs, forming four maps:
+    the detection map in the harness and one per rung in Stage I."""
     if scene == "reference":
         spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
         maps = 2
@@ -120,6 +147,7 @@ def test_run_trial_memory_peak(scene, monkeypatch):
         return compute_ra_map(*args, **kwargs)
 
     monkeypatch.setattr(harness, "compute_ra_map", counted)
+    monkeypatch.setattr(surface, "compute_ra_map", counted)
     run_trial(spec, PipelineOptions())          # warm up first-call caches
     formed.clear()
     tracemalloc.start()
@@ -130,6 +158,14 @@ def test_run_trial_memory_peak(scene, monkeypatch):
         tracemalloc.stop()
     assert rec.ok and len(formed) == maps
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_run_trial_largest_frame():
+    # 256 samples is the largest frame point-return cancellation takes
+    doc = reference_scene_doc(30.0, 60.0)
+    doc["radar"] = {"num_samples": 256}
+    rec = run_trial(scenario_from_doc(doc), PipelineOptions())
+    assert rec.ok and rec.estimate.detected
 
 
 def test_run_trial_truth_surface_noiseless():
@@ -204,6 +240,10 @@ def test_sweep_spec_validation():
                   base_scene={}, mode="other")
 
 
+def _comparable(record):
+    return dataclasses.replace(record, timings_ms={})
+
+
 def test_run_sweep_fixed_mode_rows():
     sweep = sweep_delta_snr(grid=(20.0, 40.0), trials_per_point=3, seed=5)
     rows, recs = run_sweep(sweep, PipelineOptions(), keep_records=True)
@@ -213,8 +253,10 @@ def test_run_sweep_fixed_mode_rows():
     assert all(np.isfinite(r["rmse_d"]) for r in rows)
     assert len(recs) == 2 and len(recs[0]) == 3
     # swept variable applied: target SNR = surface + value
-    assert recs[0][0].snr_target_db == pytest.approx(50.0)
-    assert recs[1][0].snr_target_db == pytest.approx(70.0)
+    for rec, target_db in zip((recs[0][0], recs[1][0]), (50.0, 70.0)):
+        spec = scenario_from_doc(reference_scene_doc(30.0, target_db))
+        assert _comparable(run_trial(spec.with_seed(rec.seed))) \
+            == _comparable(rec)
 
 
 def test_run_sweep_identification_mode_rows():
@@ -258,7 +300,9 @@ def test_snr_w_sweep_sets_surface_level():
     sweep = SweepSpec(name="t", swept="snr_w", grid=(22.0,),
                       trials_per_point=1, base_scene=reference_scene_doc())
     _, recs = run_sweep(sweep, PipelineOptions(), keep_records=True)
-    assert recs[0][0].snr_surface_db == pytest.approx(22.0)
+    rec = recs[0][0]
+    spec = scenario_from_doc(reference_scene_doc(22.0, 50.0))
+    assert _comparable(run_trial(spec.with_seed(rec.seed))) == _comparable(rec)
 
 
 def _hand_record(scene_class, walled, detected, error_xy, decided_nlos):
@@ -268,8 +312,8 @@ def _hand_record(scene_class, walled, detected, error_xy, decided_nlos):
     hyp = Hypothesis.NLOS if decided_nlos else Hypothesis.LOS
     ex, ey = error_xy
     return TrialRecord(
-        scene_class=scene_class, seed=0, snr_surface_db=30.0,
-        snr_target_db=50.0, truth_target=(0.0, 30.0), truth_surface=surface,
+        scene_class=scene_class, seed=0, truth_target=(0.0, 30.0),
+        truth_surface=surface,
         estimate=est, decision=HypothesisDecision(hyp, 0.0, 30.0, 1.0, 320, 256),
         error_x=ex, error_y=ey, error_d=math.hypot(ex, ey))
 
@@ -280,8 +324,8 @@ def test_aggregate_identification_bases():
         _hand_record(SceneClass.NLOS, True, False, (0.0, 2.0), False),
         _hand_record(SceneClass.LOS_NO_SURFACE, False, False, (10.0, 10.0), False),
         _hand_record(SceneClass.LOS_SURFACE_MP, True, True, (6.0, 8.0), True),
-        TrialRecord(scene_class=SceneClass.NLOS, seed=1, snr_surface_db=30.0,
-                    snr_target_db=50.0, truth_target=(0.0, 30.0),
+        TrialRecord(scene_class=SceneClass.NLOS, seed=1,
+                    truth_target=(0.0, 30.0),
                     truth_surface=(2.0, 18.0, 8.0, 25.0), error="ValueError: x"),
     ]
     row = _aggregate(20.0, records)
@@ -311,7 +355,7 @@ def test_threaded_sweep_leaves_warning_filters_alone():
     sweep = sweep_identification(grid=(20.0,), trials_per_point=8, seed=0)
 
     def comparable(by_point):
-        return [dataclasses.replace(r, timings_ms={}) for p in by_point for r in p]
+        return [_comparable(r) for p in by_point for r in p]
 
     expected = comparable(run_sweep(sweep, options, keep_records=True)[1])
     with warnings.catch_warnings():

@@ -4,12 +4,10 @@ import pytest
 from nlosradar import (
     FitError,
     NoConsensusError,
-    RansacConfig,
     ReflectiveSurface,
     SceneClass,
     ScenarioSpec,
     SnrSpec,
-    SurfaceEstimate,
     compute_ra_map,
     estimate_surface,
     fit_ls,
@@ -72,7 +70,7 @@ def _planted_fixture(seed, n_out=5):
 
 def test_fit_ransac_recovers_planted_inliers():
     pts = _planted_fixture(seed=1)
-    slope, icept, mask = fit_ransac(pts, RansacConfig(seed=1))
+    slope, icept, mask = fit_ransac(pts, min_inliers=5, seed=1)
     assert mask[:20].all()
     assert not mask[20:].any()
     assert slope == pytest.approx(0.45, abs=1e-9)
@@ -81,7 +79,7 @@ def test_fit_ransac_recovers_planted_inliers():
 
 def test_fit_ransac_outlier_free_matches_ls():
     pts = _line_points(0.3, 12.0, np.linspace(-4, 4, 15))
-    slope_r, icept_r, mask = fit_ransac(pts, RansacConfig(seed=0))
+    slope_r, icept_r, mask = fit_ransac(pts, min_inliers=5, seed=0)
     slope_l, icept_l = fit_ls(pts)
     assert mask.all()
     assert slope_r == pytest.approx(slope_l, abs=1e-9)
@@ -90,34 +88,35 @@ def test_fit_ransac_outlier_free_matches_ls():
 
 def test_fit_ransac_deterministic():
     pts = _planted_fixture(seed=3)
-    _, _, m1 = fit_ransac(pts, RansacConfig(seed=9))
-    _, _, m2 = fit_ransac(pts, RansacConfig(seed=9))
+    _, _, m1 = fit_ransac(pts, min_inliers=5, seed=9)
+    _, _, m2 = fit_ransac(pts, min_inliers=5, seed=9)
     assert np.array_equal(m1, m2)
 
 
 def test_fit_ransac_inlier_set_invariant_to_far_outliers():
     pts = _planted_fixture(seed=5)
-    _, _, mask_a = fit_ransac(pts, RansacConfig(seed=5))
+    _, _, mask_a = fit_ransac(pts, min_inliers=5, seed=5)
     rng = np.random.default_rng(55)
     far = np.column_stack([rng.uniform(-6, 6, 5), rng.uniform(50, 80, 5)])
-    _, _, mask_b = fit_ransac(np.vstack([pts, far]), RansacConfig(seed=5))
+    _, _, mask_b = fit_ransac(np.vstack([pts, far]), min_inliers=5, seed=5)
     assert np.array_equal(mask_a, mask_b[:len(pts)])
     assert not mask_b[len(pts):].any()
 
 
 def test_fit_ransac_no_consensus():
     with pytest.raises(NoConsensusError):
-        fit_ransac(np.array([[0.0, 1.0], [1.0, 2.0]]), RansacConfig())
+        fit_ransac(np.array([[0.0, 1.0], [1.0, 2.0]]), min_inliers=5)
     rng = np.random.default_rng(2)
     scatter = np.column_stack([rng.uniform(-20, 20, 12),
                                rng.uniform(0, 40, 12)])
     with pytest.raises(NoConsensusError):
-        fit_ransac(scatter, RansacConfig(seed=0, inlier_threshold=0.05))
+        fit_ransac(scatter, 0.05, min_inliers=5, seed=0)
 
 
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
-        RansacConfig(inlier_threshold=0.0)
+        fit_ransac(_line_points(0.3, 12.0, np.linspace(-4, 4, 15)),
+                   inlier_threshold=0.0)
 
 
 def _wall_scene(radar, snr_w, seed, surface, snr_t=0.0):
@@ -131,7 +130,6 @@ def test_estimate_surface_noise_only_not_detected(radar):
     noise = rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128))
     est = estimate_surface(compute_ra_map(noise, radar), k=20)
     assert not est.detected
-    assert est.to_csv_row().startswith("False")
 
 
 def test_estimate_surface_on_synthesized_wall(radar, eval_surface):
@@ -197,9 +195,3 @@ def test_estimate_intercept_invariant(radar, eval_surface):
     assert est.intercept == pytest.approx(est.center_y - est.center_x * slope,
                                           abs=1e-9)
 
-
-def test_csv_row_shape(eval_surface):
-    est = SurfaceEstimate.from_truth(eval_surface)
-    row = est.to_csv_row()
-    assert row.split(",")[0] == "True"
-    assert len(row.split(",")) == 6
