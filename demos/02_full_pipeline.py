@@ -27,7 +27,10 @@ ra = nr.compute_ra_map(echo, radar)
 # the dominant point returns before hunting for the wall ridge, and tapers
 # the channel axis so angle sidelobes do not masquerade as wall cells.  k is
 # the peak budget, about the wall's length in range cells (8 m / 0.375 m)
-est, rung = nr.detect_surface(echo.samples, ra, k=22, seed=spec.seed)
+# the detection map is passed as a callable: Stage I reads it only when its
+# first rung finds nothing, so a caller may still be forming it
+est, rung = nr.detect_surface(echo.samples, radar, 22, lambda: ra,
+                              seed=spec.seed)
 print("Stage I  :", f"detected on rung {rung}" if est.detected else "no surface")
 if est.detected:
     print(f"           theta = {est.orientation_deg:.2f} deg (truth 25), "

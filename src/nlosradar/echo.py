@@ -313,35 +313,45 @@ def _noise(radar: RadarConfig, variance: float, rng: np.random.Generator) -> np.
 
 
 def _channel_spectrum(samples: np.ndarray, size: int) -> np.ndarray:
-    """Centred channel DFT of a frame zero padded to ``size`` channels.
+    """Channel DFT of a frame zero padded to ``size`` channels, fast-time major.
 
-    Row p of the (size, N) result holds direction-cosine bin p (zero
-    spatial frequency at row ``size // 2``) for each of the frame's N
-    fast-time samples.  The N columns that hold data are the only ones
-    transformed, since a zero column transforms to zeros (FFT input
-    pruning), and centring them is the shift the full transform applies.
+    Row n of the C-ordered (N, size) result holds the DFT over the channels
+    of fast-time sample n, in FFT order: direction-cosine bin p (zero
+    spatial frequency at ``p = size // 2``) is column ``(p + size // 2) %
+    size``, and the caller applies that centring shift as it reads.  Only
+    the N fast-time columns that hold data are transformed, since a zero
+    column transforms to zeros (FFT input pruning), and each is transformed
+    in place along its contiguous row of a zero-padded buffer, which gives
+    the bits the padded transform along the channel axis gives.
     """
     m_r, n = samples.shape
     if m_r > size or n > size:
         raise ValueError(f"frame larger than the {size} x {size} transform")
-    # complex64 frames (read_echo) would otherwise transform in single precision
-    samples = samples.astype(complex, copy=False)
-    return np.fft.fftshift(np.fft.fft(samples, n=size, axis=0), axes=0)
+    # assigning into a complex128 buffer also widens complex64 frames
+    # (read_echo), which would otherwise transform in single precision
+    spectrum = np.zeros((n, size), dtype=complex)
+    spectrum[:, :m_r] = samples.T
+    return np.fft.fft(spectrum, axis=1, out=spectrum)
 
 
 def _range_angle(samples: np.ndarray, size: int) -> np.ndarray:
     """Centred ``size`` x ``size`` transform of a frame, angle-major.
 
-    Element [p, q] holds direction-cosine bin p (``_channel_spectrum``) and
-    range bin q (a conjugate-sense DFT of fast time), both over the frame
-    zero padded to ``size``.  The result is bit-identical to the full
-    padded transform: the channel FFT is pruned to the columns that hold
-    data; the range transform treats each row on its own; and it is left
-    unscaled instead of scaled by 1/size and multiplied back, both exact
-    for a power of two.
+    Element [p, q] holds direction-cosine bin p (``_channel_spectrum``,
+    centred) and range bin q (a conjugate-sense DFT of fast time), both
+    over the frame zero padded to ``size``.  The result is bit-identical to
+    the full padded transform: the channel FFT is pruned to the columns
+    that hold data; the range transform treats each row on its own, in
+    place on a zero-padded buffer; and it is left unscaled instead of
+    scaled by 1/size and multiplied back, both exact for a power of two.
     """
-    return np.fft.ifft(_channel_spectrum(samples, size), n=size, axis=1,
-                       norm="forward")
+    spectrum = _channel_spectrum(samples, size)
+    n = spectrum.shape[0]
+    half = size // 2
+    out = np.zeros((size, size), dtype=complex)
+    out[:half, :n] = spectrum[:, half:].T
+    out[half:, :n] = spectrum[:, :half].T
+    return np.fft.ifft(out, axis=1, norm="forward", out=out)
 
 
 def _median(values: np.ndarray) -> float:
@@ -375,7 +385,9 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
     The transform is formed once per call and kept current: removing
     ``amp * outer(a, b)`` from the frame removes the separable
     ``amp * outer(fftshift(fft(a)), ifft(b, norm="forward"))`` from its
-    spectrum, so a step costs an outer-product update, not a transform.
+    spectrum, so a step costs an outer-product update, not a transform,
+    and the spectrum and its magnitude are updated in place, a block of
+    rows at a time.
     The stop test ``peak < median * gate`` is decided by counting: when
     more than half the cells lie below ``peak / gate`` the median does
     too, and the loop goes on without sorting anything.
@@ -398,13 +410,14 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
     t_gate = 10.0 ** (stop_db / 20.0)
     spectrum = _range_angle(work, pad)
     mag = np.abs(spectrum)
+    update = np.empty((32, pad), dtype=complex)     # 32 rows at a time
     tol = 1e-9 * float(mag.max())
     exact = True
     for step in range(max_components):
         flat = int(np.argmax(mag))
         if not exact and not _updated_decides(mag, flat, tol, t_gate):
             spectrum = _range_angle(work, pad)
-            mag = np.abs(spectrum)
+            np.abs(spectrum, out=mag)
             flat = int(np.argmax(mag))
             exact = True
         peak = float(mag.flat[flat])
@@ -423,9 +436,13 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
         amp = np.vdot(sig, work) / (m_r * n)
         work -= amp * sig
         if step + 1 < max_components:
-            spectrum -= np.outer(amp * np.fft.fftshift(np.fft.fft(a, n=pad)),
-                                 np.fft.ifft(b, n=pad, norm="forward"))
-            mag = np.abs(spectrum)
+            col = amp * np.fft.fftshift(np.fft.fft(a, n=pad))
+            row = np.fft.ifft(b, n=pad, norm="forward")
+            for lo in range(0, pad, len(update)):
+                rows = slice(lo, lo + len(update))
+                np.multiply.outer(col[rows], row, out=update)
+                spectrum[rows] -= update
+                np.abs(spectrum[rows], out=mag[rows])
             exact = False
     return work
 

@@ -109,10 +109,11 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     enough that its sidelobes bury the distributed surface ridge.
 
     The map is magnitude-only.  The range transform runs over blocks of
-    ``_BLOCK_ROWS`` angle rows of the channel spectrum, and each block's
-    modulus is written straight into the range-major magnitude, so no
-    complex 512 x 512 array is ever held.  The map keeps a copy of the
-    windowed frame and forms the complex ``values`` from it on first read.
+    ``_BLOCK_ROWS`` angle rows of the channel spectrum, in place on one
+    reused zero-padded block, and each block's modulus is written straight
+    into the range-major magnitude, so no complex 512 x 512 array is ever
+    held.  The map keeps a copy of the windowed frame and forms the complex
+    ``values`` from it on first read.
 
     The transform is pruned (``echo._channel_spectrum``): of the 512
     zero-padded fast-time columns only the N that hold samples go through
@@ -132,21 +133,38 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     elif window is not None:
         raise ValueError(f"unknown window {window!r}")
     frame = samples.astype(complex)
-    spatial = _channel_spectrum(frame, MAP_SIZE)
+    spectrum = _channel_spectrum(frame, MAP_SIZE)
     magnitude = np.empty((MAP_SIZE, MAP_SIZE))
+    block = np.empty((_BLOCK_ROWS, MAP_SIZE), dtype=complex)
     for p in range(0, MAP_SIZE, _BLOCK_ROWS):
-        rows = slice(p, p + _BLOCK_ROWS)
-        block = np.fft.ifft(spatial[rows], n=MAP_SIZE, axis=1, norm="forward")
-        np.abs(block.T, out=magnitude[:, rows])
+        # centred angle row p is FFT-order column p + 256 (mod 512)
+        c = (p + MAP_SIZE // 2) % MAP_SIZE
+        block[:, :n] = spectrum[:, c:c + _BLOCK_ROWS].T
+        block[:, n:] = 0.0
+        np.fft.ifft(block, axis=1, norm="forward", out=block)
+        np.abs(block.T, out=magnitude[:, p:p + _BLOCK_ROWS])
     return RangeAngleMap._of_frame(frame, magnitude, radar)
 
 
 def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
-    """(range bin, angle bin) of the strongest cell among ``valid`` cells."""
+    """(range bin, angle bin) of the strongest cell among ``valid`` cells.
+
+    The cell ``np.argmax`` finds in the magnitude with every other cell set
+    to -1: the first in row-major order on a tie, or the first NaN.  It is
+    searched ``_BLOCK_ROWS`` rows at a time, so no map-sized copy is made.
+    """
     if not valid.any():
         raise ValueError("no valid cell to search")
-    flat = int(np.argmax(np.where(valid, ra_map.magnitude, -1.0)))
-    return divmod(flat, MAP_SIZE)
+    best, cell = -1.0, None
+    for p in range(0, MAP_SIZE, _BLOCK_ROWS):
+        rows = slice(p, p + _BLOCK_ROWS)
+        block = np.where(valid[rows], ra_map.magnitude[rows], -1.0)
+        flat = int(np.argmax(block))
+        if not block.flat[flat] <= best:        # larger, or NaN
+            best, cell = block.flat[flat], divmod(p * MAP_SIZE + flat, MAP_SIZE)
+            if np.isnan(best):
+                break
+    return cell
 
 
 def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
@@ -176,7 +194,9 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
 
     # a candidate is an interior cell above the floor that is at least as
     # large as each of its 3 x 3 neighbors; only cells above the floor are
-    # compared, in row-major order
+    # compared, in row-major order, and each neighbor test keeps only the
+    # cells that passed the ones before (the angle neighbors, first, leave
+    # a few percent of them)
     above = mag[1:-1, 1:-1] > floor
     if valid is not None:
         above &= valid[1:-1, 1:-1]
@@ -184,12 +204,10 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
     ci += 1
     cj += 1
     cmag = mag[ci, cj]
-    local = np.ones(ci.size, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di or dj:
-                local &= cmag >= mag[ci + di, cj + dj]
-    ci, cj, cmag = ci[local], cj[local], cmag[local]
+    for di, dj in ((0, -1), (0, 1), (-1, 0), (1, 0),
+                   (-1, -1), (-1, 1), (1, -1), (1, 1)):
+        keep = cmag >= mag[ci + di, cj + dj]
+        ci, cj, cmag = ci[keep], cj[keep], cmag[keep]
     order = np.argsort(cmag, kind="stable")[::-1]
     ci, cj, cmag = ci[order], cj[order], cmag[order]
 

@@ -11,11 +11,13 @@ fit on up to three maps of the frame, tried in turn.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .echo import suppress_point_returns
+from .geometry import RadarConfig
 from .ramap import (
     MAP_SIZE,
     RangeAngleMap,
@@ -328,17 +330,19 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
     return est
 
 
-def detect_surface(samples: np.ndarray, ra_map: RangeAngleMap, k: int,
-                   seed: int = 0,
+def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
+                   detection_map: Callable[[], RangeAngleMap], seed: int = 0,
                    min_length: float = 1.0) -> tuple[SurfaceEstimate, int | None]:
     """Stage I: detect the reflective surface in a frame.
 
-    ``samples`` is the frame and ``ra_map`` its untapered detection map,
-    whose radar is the frame's.  ``estimate_surface`` runs with ``k``
-    peaks, ``seed`` and ``min_length`` on up to three maps of the frame,
-    each formed only when the ones before found nothing.  Returns the
-    estimate and the index of the rung that detected the wall (None when
-    none did).
+    ``samples`` is the frame and ``radar`` its radar.  ``detection_map``
+    returns the frame's untapered detection map; it is called only when
+    rung 1's gate is needed, so a caller can form the map while rungs run
+    (``run_trial`` forms it on a helper thread).  ``estimate_surface`` runs
+    with ``k`` peaks, ``seed`` and ``min_length`` on up to three maps of
+    the frame, each formed only when the ones before found nothing.
+    Returns the estimate and the index of the rung that detected the wall
+    (None when none did).
 
     0. The Hann-tapered map of the frame with up to 8 dominant point
        returns cancelled: a strong two-bounce blob otherwise floods the
@@ -351,7 +355,6 @@ def detect_surface(samples: np.ndarray, ra_map: RangeAngleMap, k: int,
     2. The Hann-tapered map of the raw frame, for wall-dominant scenes
        where the cancellation consumed the ridge.
     """
-    radar = ra_map.radar
 
     def fit(frame, window, **kwargs):
         return estimate_surface(compute_ra_map(frame, radar, window=window),
@@ -362,6 +365,7 @@ def detect_surface(samples: np.ndarray, ra_map: RangeAngleMap, k: int,
     if est.detected:
         return est, 0
 
+    ra_map = detection_map()
     i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
     gate = float(ra_map.range_axis_m[i]) - 4.5
     if gate > 4.0:

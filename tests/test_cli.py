@@ -109,6 +109,22 @@ def test_malformed_sweep_spec_is_config_error(tmp_path, capsys, change):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid", 5), ("grid", []), ("grid", [20.0, "30"]), ("grid", [True]),
+    ("trials_per_point", "2"), ("trials_per_point", 2.0),
+    ("trials_per_point", True), ("seed", "4"), ("seed", False)])
+def test_wrongly_typed_sweep_spec_is_config_error(tmp_path, capsys, key, value):
+    """A spec whose keys are right but whose values have the wrong type is
+    a configuration error (exit 2) naming the key, not a traceback."""
+    doc = {"name": "custom", "swept": "delta_snr", "grid": [20.0],
+           "trials_per_point": 1, "seed": 0, "base_scene": {}}
+    doc[key] = value
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_missing_scene_is_config_error(tmp_path):
     code = main(["pipeline", "--scene", str(tmp_path / "nope.json")])
     assert code == 2

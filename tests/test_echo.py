@@ -341,6 +341,20 @@ def test_range_angle_transform_bit_identical_to_full_256():
         _range_angle(np.zeros((16, 300), dtype=complex), 256)
 
 
+@pytest.mark.parametrize("size", [256, 512])
+@pytest.mark.parametrize("shape", [(12, 100), (16, 256)])
+def test_range_angle_transform_bit_identical_at_odd_shapes(shape, size):
+    """Frames that fill the padded buffers to other widths than the default
+    16 x 128 still give the full padded transform, bit for bit."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    padded = np.zeros((size, size), dtype=complex)
+    padded[:shape[0], :shape[1]] = x
+    full = np.fft.fftshift(np.fft.ifft(np.fft.fft(padded, axis=0), axis=1)
+                           * size, axes=0)
+    assert np.array_equal(_range_angle(x, size), full)
+
+
 def test_suppress_point_returns_continues_exactly():
     """Cancelling 8 components and then 16 more is cancelling 24 at once:
     a cancelled frame can be cancelled further without starting over."""
@@ -428,6 +442,25 @@ def cancellation_frames():
     frames.append(frames[0].astype(np.complex64))
     frames.append(frames[12].astype(np.complex64))
     return radar, frames
+
+
+@pytest.mark.parametrize("shape", [{"num_rx": 12, "num_samples": 100},
+                                   {"num_samples": 256}])
+def test_suppress_point_returns_matches_fresh_transform_at_odd_shapes(shape):
+    """Frames of 12 channels and 100 samples, and of 256 samples, fill the
+    256-point spectrum to other widths than 16 x 128; the running spectrum
+    still cancels what the fresh transform loop cancels, bit for bit."""
+    doc = reference_scene_doc(30.0, 60.0)
+    doc["radar"] = shape
+    spec = scenario_from_doc(doc)
+    radar = spec.radar
+    frames = [synthesize(spec.with_seed(seed)).samples for seed in range(3)]
+    frames.append(_on_grid_returns(radar, [(120, 60, 100.0), (140, 90, 50j)]))
+    for frame in frames:
+        for stop_db in (6.0, 18.0):
+            assert np.array_equal(
+                suppress_point_returns(frame, radar, 8, stop_db),
+                _reference_suppress(frame, radar, 8, stop_db))
 
 
 @pytest.mark.parametrize("max_components", (8, 24))

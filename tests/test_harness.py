@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -74,6 +76,7 @@ def test_run_trial_nlos_reference_scene():
     assert rec.error_d is not None and rec.error_d < 5.0
     assert set(rec.timings_ms) == {"synthesize", "ra_map", "stage1",
                                    "stage2", "stage3"}
+    assert rec.timings_ms["ra_map"] > 0
 
 
 def test_run_trial_los_no_surface():
@@ -120,8 +123,9 @@ def test_detect_surface_matches_run_trial(scene, rung):
                                   preset="identification", snr=snr)
     rec = run_trial(spec, PipelineOptions())
     echo = synthesize(spec)
-    est, got = detect_surface(echo.samples, compute_ra_map(echo, spec.radar),
-                              default_k(spec), seed=spec.seed)
+    est, got = detect_surface(echo.samples, spec.radar, default_k(spec),
+                              lambda: compute_ra_map(echo, spec.radar),
+                              seed=spec.seed)
     assert got == rec.stage1_rung == rung
     assert est == rec.estimate
 
@@ -203,6 +207,92 @@ def test_unexpected_stage_error_escapes_run_sweep(workers, monkeypatch):
     sweep = sweep_delta_snr(grid=(20.0,), trials_per_point=2, seed=0)
     with pytest.raises(RuntimeError, match="stage fault"):
         run_sweep(sweep, PipelineOptions(), workers=workers)
+
+
+class _InlineExecutor:
+    """A stand-in for the trial's helper pool that runs each task at once
+    on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _helper_scenes():
+    """The reference scene (rung 0), the surface-free scene that forms four
+    maps, and the scenes only rungs 1 and 2 detect."""
+    snr = SnrSpec(30.0, 50.0)
+    return [scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0),
+            randomize_scenario(SceneClass.LOS_NO_SURFACE, 4,
+                               preset="identification", snr=snr),
+            randomize_scenario(SceneClass.NLOS, 4, preset="identification",
+                               snr=snr),
+            randomize_scenario(SceneClass.NLOS, 2, preset="identification",
+                               snr=snr)]
+
+
+def test_helper_thread_map_changes_no_record(monkeypatch):
+    """Forming the detection map on the helper thread gives the records
+    that forming it inline on the calling thread gives."""
+    specs = _helper_scenes()
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return compute_ra_map(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_ra_map", recorded)
+    threaded = [run_trial(spec) for spec in specs]
+    assert len(threads) == len(specs)
+    assert threading.get_ident() not in threads
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _InlineExecutor)
+    inline = [run_trial(spec) for spec in specs]
+    assert [r.stage1_rung for r in inline] == [0, None, 1, 2]
+    assert [_comparable(r) for r in threaded] == \
+        [_comparable(r) for r in inline]
+
+
+@pytest.mark.parametrize("where", ["detection map", "cancellation"])
+def test_fault_on_either_thread_escapes_with_its_type(where, monkeypatch):
+    """A fault in the map formed on the helper thread, or in Stage I on the
+    calling thread, reaches the caller of ``run_trial`` and of ``run_sweep``
+    (serial and threaded) as itself, and no helper thread outlives the
+    trial, whether it returns or raises."""
+    class Fault(RuntimeError):
+        pass
+
+    def broken(*args, **kwargs):
+        raise Fault(where)
+
+    spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
+    baseline = threading.active_count()
+    run_trial(spec)
+    assert threading.active_count() == baseline
+    if where == "detection map":
+        monkeypatch.setattr(harness, "compute_ra_map", broken)
+    else:
+        monkeypatch.setattr(surface, "suppress_point_returns", broken)
+    with pytest.raises(Fault, match=where):
+        run_trial(spec)
+    assert threading.active_count() == baseline
+    sweep = sweep_delta_snr(grid=(20.0,), trials_per_point=2, seed=0)
+    for workers in (1, 2):
+        with pytest.raises(Fault, match=where):
+            run_sweep(sweep, PipelineOptions(), workers=workers)
+    assert threading.active_count() == baseline
 
 
 def test_rmse_identity_against_stored_errors():

@@ -18,7 +18,7 @@ from nlosradar import (
 )
 from nlosradar.echo import WaveformConfig, _median
 from nlosradar.harness import reference_scene_doc
-from nlosradar.ramap import Peak
+from nlosradar.ramap import Peak, _argmax_cell
 
 from conftest import rayleigh_field  # noqa: E402 - shared test field
 
@@ -70,10 +70,14 @@ def _unpruned_values(samples, window=None):
 
 
 @pytest.mark.parametrize("window", [None, "hann", "hann2d"])
-@pytest.mark.parametrize("shape", [{}, {"num_rx": 8, "num_samples": 64}])
+@pytest.mark.parametrize("shape", [{}, {"num_rx": 8, "num_samples": 64},
+                                   {"num_rx": 12, "num_samples": 100},
+                                   {"num_samples": 256}])
 def test_pruned_transform_bit_identical_to_full(shape, window):
     """The blocked magnitude equals |full transform| bit for bit before the
-    complex values exist; read afterwards, they equal the full transform."""
+    complex values exist; read afterwards, they equal the full transform.
+    Frames of 100 and 256 samples fill a zero-padded block to other widths
+    than 128, and 12 channels fill the channel buffer to other than 16."""
     radar = RadarConfig(**shape)
     rng = np.random.default_rng(21)
     waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
@@ -93,6 +97,26 @@ def test_pruned_transform_bit_identical_to_full(shape, window):
         assert m.values.dtype == expected.dtype == np.complex128
         assert np.array_equal(m.values, expected)
         assert m.values is m.values
+
+
+def test_argmax_cell_matches_masked_argmax(radar):
+    """The blockwise search finds the cell ``np.argmax`` finds on the map
+    with invalid cells set to -1: ties go to the first cell in row-major
+    order, across blocks too, and a NaN wins as it does for ``np.argmax``."""
+    rng = np.random.default_rng(4)
+    for case in range(6):
+        values = np.round(rng.uniform(0, 3, (MAP_SIZE, MAP_SIZE)))
+        valid = rng.uniform(size=(MAP_SIZE, MAP_SIZE)) < 0.3
+        if case == 4:
+            values[[300, 40], [7, 500]] = np.nan
+            valid[[300, 40], [7, 500]] = True
+        if case == 5:
+            valid[:] = False
+            valid[[500, 3], [0, 9]] = True
+        m = RangeAngleMap(values.astype(complex), radar)
+        expected = divmod(int(np.argmax(np.where(valid, m.magnitude, -1.0))),
+                          MAP_SIZE)
+        assert _argmax_cell(m, valid) == expected
 
 
 def test_map_keeps_its_own_frame(radar):
