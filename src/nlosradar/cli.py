@@ -26,8 +26,29 @@ from .ramap import compute_ra_map, write_magnitude_csv, write_map_binary
 from .scenario import load_scenario
 
 
+EXPORTS = ("csv", "bin", "pgm", "svg")
+
+
 def _pipeline_options(args) -> harness.PipelineOptions:
     return harness.PipelineOptions(guard_m=args.guard_m)
+
+
+def _exports(text: str) -> frozenset[str]:
+    """``--export``: a comma list of names from ``EXPORTS``."""
+    names = frozenset(text.split(","))
+    unknown = sorted(names - set(EXPORTS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown export {', '.join(map(repr, unknown))}; "
+            f"choose from {','.join(EXPORTS)}")
+    return names
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _add_common(p):
@@ -37,8 +58,8 @@ def _add_common(p):
                    help="output directory (created if missing)")
     p.add_argument("--guard-m", type=float, default=1.0,
                    help="guard band half-width around the estimated surface")
-    p.add_argument("--export", default="csv",
-                   help="comma list from {csv,bin,pgm,svg}")
+    p.add_argument("--export", type=_exports, default="csv",
+                   help=f"comma list from {{{','.join(EXPORTS)}}}")
 
 
 def _load_scene(args):
@@ -50,16 +71,15 @@ def _load_scene(args):
 
 def _cmd_simulate(args) -> int:
     spec = _load_scene(args)
-    exports = set(args.export.split(","))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     echo = synthesize(spec)
     write_echo(args.out_dir / "echo.bin", echo, spec.radar, seed=spec.seed,
                metadata={"scene_class": spec.scene_class.value})
-    if {"csv", "bin"} & exports:
+    if {"csv", "bin"} & args.export:
         ra_map = compute_ra_map(echo, spec.radar)
-        if "csv" in exports:
+        if "csv" in args.export:
             write_magnitude_csv(ra_map, args.out_dir / "ra_map.csv")
-        if "bin" in exports:
+        if "bin" in args.export:
             write_map_binary(ra_map, args.out_dir / "ra_map.bin", seed=spec.seed)
     print(f"wrote {args.out_dir / 'echo.bin'}")
     return 0
@@ -82,7 +102,7 @@ def _cmd_pipeline(args) -> int:
           + ("" if loc.feasible else "  [infeasible geometry]"))
     if record.error_d is not None:
         print(f"position error  : {record.error_d:.3f} m")
-    if "csv" in args.export.split(","):
+    if "csv" in args.export:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         out = args.out_dir / "trial.csv"
         header = "hypothesis,x,y,r_radar_prp,r_prp_target,phi_ko_deg,feasible"
@@ -146,11 +166,10 @@ def _cmd_sweep(args) -> int:
     rows, _ = harness.run_sweep(sweep, _pipeline_options(args),
                                 workers=args.workers)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    exports = set(args.export.split(","))
     csv_path = args.out_dir / f"sweep_{sweep.name}.csv"
     harness.write_sweep_csv(rows, csv_path)
     print(f"wrote {csv_path}")
-    if "svg" in exports:
+    if "svg" in args.export:
         svg_path = args.out_dir / f"sweep_{sweep.name}.svg"
         if sweep.mode == "identification":
             series = {"Pr(I1|I1)": ([r["pr_i1_i1"] for r in rows], None),
@@ -214,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named built-in experiment family")
     p_sweep.add_argument("--trials", type=int, default=None,
                          help="trials per grid point")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1,
+                         help="trials run at once, each on up to two threads")
     p_sweep.add_argument("--max-failures", type=float, default=0.1,
                          help="tolerated trial-failure fraction before exit 3")
     _add_common(p_sweep)

@@ -354,19 +354,93 @@ def _range_angle(samples: np.ndarray, size: int) -> np.ndarray:
     return np.fft.ifft(out, axis=1, norm="forward", out=out)
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a NaN-free 1-D array, from one partition in place.
+_SELECT_MIN = 1 << 14     # fewer cells than this are copied and partitioned
+_SAMPLE_STEP = 5, 7       # the bracketing sample's row and column steps; odd,
+                          # so the 4-row range-cell period of a map cannot alias
+_BLOCK_CELLS = 1 << 15    # cells per block of the counting pass
 
-    Reorders ``values``.  An odd size takes the middle order statistic; an
-    even size takes the mean of the two middle ones, in the array's own
-    precision, which is what ``np.median`` computes.
+
+def _median(values: np.ndarray, valid: np.ndarray | None = None) -> float:
+    """``np.median(values[valid])``, or of all ``values`` when ``valid`` is
+    None, for a NaN-free array, without copying the selection.
+
+    A strided sample brackets the selection's middle order statistics
+    (``_bracketed``), and only the cells inside the bracket are copied and
+    partitioned.  When the bracket misses, and for fewer than
+    ``_SELECT_MIN`` cells, the selection is copied and partitioned whole.
+    An odd count takes the middle order statistic; an even count the mean
+    of the two middle ones, in the array's own precision, as ``np.median``
+    does.  NaN for an empty selection.  ``values`` is left unchanged.
     """
-    half = values.size // 2
-    values.partition(half)
-    upper = values[half]
-    if values.size % 2:
-        return float(upper)
-    return float((values[:half].max() + upper) / 2)
+    if values.ndim != 2:
+        values = values.reshape(values.size, 1)
+        if valid is not None:
+            valid = valid.reshape(values.shape)
+    if valid is not None and valid.strides[0] == 0:
+        # a mask repeating one band of columns down every row (the field
+        # of view) selects the band itself
+        cols = np.flatnonzero(valid[0])
+        if cols.size and cols[-1] - cols[0] + 1 == cols.size:
+            values, valid = values[:, cols[0]:cols[-1] + 1], None
+    n = values.size if valid is None else int(np.count_nonzero(valid))
+    if n == 0:
+        return float("nan")
+    k1, k2 = (n - 1) // 2, n // 2
+    if n >= _SELECT_MIN:
+        found = _bracketed(values, valid, n, k1, k2)
+        if found is not None:
+            return found
+    return _middle(values.flatten() if valid is None else values[valid], k1, k2)
+
+
+def _bracketed(values: np.ndarray, valid: np.ndarray | None, n: int,
+               k1: int, k2: int) -> float | None:
+    """Order statistics ``k1`` and ``k2`` of the ``n`` selected cells of a
+    2-D array, by bracketed selection (Floyd & Rivest, CACM 18(3), 1975).
+
+    Every ``_SAMPLE_STEP`` row and column of the selection forms a sample of
+    m cells, and its cells 4 * sqrt(m) ranks to each side of the target
+    ranks give the bracket.  That is eight standard deviations of the
+    median's rank in a random sample; the strided sample of a map's
+    correlated cells spreads about 1.5 times wider, and no bracket missed
+    on the benchmark's maps.  One pass over blocks of rows counts the cells
+    below the bracket and gathers those inside it.  None when the sample is
+    empty or the bracket does not hold both order statistics.
+    """
+    step = np.s_[::_SAMPLE_STEP[0], ::_SAMPLE_STEP[1]]
+    sample = values[step].flatten() if valid is None \
+        else values[step][valid[step]]
+    m = sample.size
+    if m == 0:
+        return None
+    lo_r = max(0, math.floor(m * k1 / n - 4.0 * math.sqrt(m)))
+    hi_r = min(m - 1, math.ceil(m * k2 / n + 4.0 * math.sqrt(m)))
+    sample.partition([lo_r, hi_r])
+    lo, hi = sample[lo_r], sample[hi_r]
+    below, inside = 0, []
+    rows = max(1, _BLOCK_CELLS // values.shape[1])
+    for r in range(0, len(values), rows):
+        block = values[r:r + rows]
+        low, keep = block < lo, block <= hi
+        if valid is not None:
+            low &= valid[r:r + rows]
+            keep &= valid[r:r + rows]
+        below += int(np.count_nonzero(low))
+        keep ^= low                 # lo <= cell <= hi, as low implies keep
+        inside.append(block[keep])
+    inside = np.concatenate(inside)
+    if below > k1 or below + inside.size <= k2:
+        return None
+    return _middle(inside, k1 - below, k2 - below)
+
+
+def _middle(values: np.ndarray, k1: int, k2: int) -> float:
+    """Mean of order statistics ``k1`` and ``k2`` (equal for an odd count)
+    of a 1-D array, from one partition in place."""
+    values.partition([k1, k2])
+    if k1 == k2:
+        return float(values[k1])
+    return float((values[k1] + values[k2]) / 2)
 
 
 def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
@@ -422,7 +496,7 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
             exact = True
         peak = float(mag.flat[flat])
         if exact and not _count_clears(mag, peak, t_gate) \
-                and peak < _median(mag.flatten()) * t_gate:
+                and peak < _median(mag) * t_gate:
             break
         p, q = divmod(flat, pad)
         u = (p - pad // 2) / (pad * du)

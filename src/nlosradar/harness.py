@@ -94,9 +94,11 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
     """Run the full pipeline on one scenario.
 
     The detection map is formed on a helper thread while Stage I, which
-    needs it only for its second rung, runs on the calling thread; the
-    helper belongs to this call and is joined before it returns or raises.
-    ``timings_ms["ra_map"]`` is the map's own time on the helper.
+    needs it only for its second rung, runs on the calling thread, and each
+    Stage I map then forms half its rows on the same helper, queued behind
+    the detection map; the helper belongs to this call and is joined before
+    it returns or raises.  ``timings_ms["ra_map"]`` is the detection map's
+    own time on the helper.
 
     A ``GeometryError`` or ``OutOfWindowError``, which a well-formed scene
     can raise, is recorded in the trial record and does not abort the
@@ -119,7 +121,7 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
             estimate, record.stage1_rung = detect_surface(
                 echo.samples, spec.radar, default_k(spec),
                 lambda: detection.result()[0], seed=spec.seed,
-                min_length=options.min_length)
+                min_length=options.min_length, helper=helper)
             t2 = time.perf_counter()
             ra_map, map_ms = detection.result()
         t3 = time.perf_counter()

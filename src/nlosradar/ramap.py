@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
+from concurrent.futures import Executor
 from functools import cached_property
 from typing import NamedTuple
 
@@ -26,6 +27,10 @@ from .geometry import RadarConfig
 
 MAP_SIZE = 512
 _BLOCK_ROWS = 64        # angle rows per range-transform block, 512 KB complex
+_PEAK_ROWS = 128        # map rows per block of the peak-candidate search
+# flat offsets of a cell's 3 x 3 neighbors, the angle neighbors first
+_NEIGHBORS = tuple(di * MAP_SIZE + dj for di, dj in (
+    (0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)))
 
 
 class Peak(NamedTuple):
@@ -97,7 +102,8 @@ class RangeAngleMap:
 
 
 def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
-                   window: str | None = None) -> RangeAngleMap:
+                   window: str | None = None,
+                   helper: Executor | None = None) -> RangeAngleMap:
     """Zero pad the frame to 512 x 512 and apply the calibrated 2D transform.
 
     ``window="hann"`` tapers the receiver-channel axis before the transform,
@@ -109,11 +115,14 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     enough that its sidelobes bury the distributed surface ridge.
 
     The map is magnitude-only.  The range transform runs over blocks of
-    ``_BLOCK_ROWS`` angle rows of the channel spectrum, in place on one
-    reused zero-padded block, and each block's modulus is written straight
-    into the range-major magnitude, so no complex 512 x 512 array is ever
-    held.  The map keeps a copy of the windowed frame and forms the complex
-    ``values`` from it on first read.
+    ``_BLOCK_ROWS`` angle rows of the channel spectrum (``_range_rows``),
+    and each block's modulus is written straight into the range-major
+    magnitude, so no complex 512 x 512 array is ever held.  With a
+    ``helper`` executor the upper half of the angle rows is transformed
+    there while the calling thread transforms the lower half; if the helper
+    has not begun its half by then, the calling thread takes it back.  The
+    map keeps a copy of the windowed frame and forms the complex ``values``
+    from it on first read.
 
     The transform is pruned (``echo._channel_spectrum``): of the 512
     zero-padded fast-time columns only the N that hold samples go through
@@ -121,7 +130,7 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     Every other operation is one the full 512 x 512 transform performs on
     the same values, and scaling the range axis by 1/512 and back by 512
     (powers of two) is skipped, so the map is bit-identical to the unpruned
-    transform.
+    transform, with or without a helper.
     """
     samples = echo.samples if isinstance(echo, RadarEcho) else np.asarray(echo)
     m_r, n = samples.shape
@@ -135,15 +144,37 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     frame = samples.astype(complex)
     spectrum = _channel_spectrum(frame, MAP_SIZE)
     magnitude = np.empty((MAP_SIZE, MAP_SIZE))
+    half = MAP_SIZE // 2
+    if helper is None:
+        _range_rows(spectrum, magnitude, 0, MAP_SIZE)
+    else:
+        upper = helper.submit(_range_rows, spectrum, magnitude, half, MAP_SIZE)
+        _range_rows(spectrum, magnitude, 0, half)
+        if upper.cancel():
+            _range_rows(spectrum, magnitude, half, MAP_SIZE)
+        else:
+            upper.result()
+    return RangeAngleMap._of_frame(frame, magnitude, radar)
+
+
+def _range_rows(spectrum: np.ndarray, magnitude: np.ndarray, lo: int,
+                hi: int) -> None:
+    """Range transform of centred angle rows ``lo`` to ``hi`` of an (N, 512)
+    channel spectrum into columns ``lo`` to ``hi`` of the range-major
+    ``magnitude``, ``_BLOCK_ROWS`` rows at a time in place on one block.
+
+    The block is allocated by the thread that runs the rows, so the
+    calling thread's heap never holds both halves' blocks at once.
+    """
+    n = spectrum.shape[0]
     block = np.empty((_BLOCK_ROWS, MAP_SIZE), dtype=complex)
-    for p in range(0, MAP_SIZE, _BLOCK_ROWS):
+    for p in range(lo, hi, _BLOCK_ROWS):
         # centred angle row p is FFT-order column p + 256 (mod 512)
         c = (p + MAP_SIZE // 2) % MAP_SIZE
         block[:, :n] = spectrum[:, c:c + _BLOCK_ROWS].T
         block[:, n:] = 0.0
         np.fft.ifft(block, axis=1, norm="forward", out=block)
         np.abs(block.T, out=magnitude[:, p:p + _BLOCK_ROWS])
-    return RangeAngleMap._of_frame(frame, magnitude, radar)
 
 
 def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
@@ -187,27 +218,35 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
         raise ValueError("k exceeds the number of map cells")
 
     mag = ra_map.magnitude
-    searchable = mag.flatten() if valid is None else mag[valid]
-    if searchable.size == 0:
+    if valid is not None and not valid.any():
         return []
-    floor = _median(searchable) * 10.0 ** (noise_floor_db / 20.0)
+    floor = _median(mag, valid) * 10.0 ** (noise_floor_db / 20.0)
 
     # a candidate is an interior cell above the floor that is at least as
-    # large as each of its 3 x 3 neighbors; only cells above the floor are
-    # compared, in row-major order, and each neighbor test keeps only the
-    # cells that passed the ones before (the angle neighbors, first, leave
-    # a few percent of them)
-    above = mag[1:-1, 1:-1] > floor
-    if valid is not None:
-        above &= valid[1:-1, 1:-1]
-    ci, cj = np.nonzero(above)
-    ci += 1
-    cj += 1
-    cmag = mag[ci, cj]
-    for di, dj in ((0, -1), (0, 1), (-1, 0), (1, 0),
-                   (-1, -1), (-1, 1), (1, -1), (1, 1)):
-        keep = cmag >= mag[ci + di, cj + dj]
-        ci, cj, cmag = ci[keep], cj[keep], cmag[keep]
+    # large as each of its 3 x 3 neighbors.  Over blocks of rows, only the
+    # cells above the floor are compared, as flat indices into the C-ordered
+    # map in row-major order, and each neighbor test keeps only the cells
+    # that passed the ones before (the angle neighbors, first, leave a few
+    # percent of them)
+    flat = mag.reshape(-1)
+    width = MAP_SIZE - 2
+    cells, mags = [], []
+    for p in range(1, MAP_SIZE - 1, _PEAK_ROWS):
+        rows = slice(p, min(p + _PEAK_ROWS, MAP_SIZE - 1))
+        above = mag[rows, 1:-1] > floor
+        if valid is not None:
+            above &= valid[rows, 1:-1]
+        # np.nonzero of a 2-D mask walks it cell by cell, ten times slower
+        at = np.flatnonzero(above)
+        cell = at + 2 * (at // width) + (p * MAP_SIZE + 1)
+        cmag = flat[cell]
+        for offset in _NEIGHBORS:
+            keep = cmag >= flat[cell + offset]
+            cell, cmag = cell[keep], cmag[keep]
+        cells.append(cell)
+        mags.append(cmag)
+    ci, cj = np.divmod(np.concatenate(cells), MAP_SIZE)
+    cmag = np.concatenate(mags)
     order = np.argsort(cmag, kind="stable")[::-1]
     ci, cj, cmag = ci[order], cj[order], cmag[order]
 

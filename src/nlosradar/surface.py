@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,7 +333,8 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
 
 def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
                    detection_map: Callable[[], RangeAngleMap], seed: int = 0,
-                   min_length: float = 1.0) -> tuple[SurfaceEstimate, int | None]:
+                   min_length: float = 1.0, helper: Executor | None = None
+                   ) -> tuple[SurfaceEstimate, int | None]:
     """Stage I: detect the reflective surface in a frame.
 
     ``samples`` is the frame and ``radar`` its radar.  ``detection_map``
@@ -340,7 +342,8 @@ def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
     rung 1's gate is needed, so a caller can form the map while rungs run
     (``run_trial`` forms it on a helper thread).  ``estimate_surface`` runs
     with ``k`` peaks, ``seed`` and ``min_length`` on up to three maps of
-    the frame, each formed only when the ones before found nothing.
+    the frame, each formed only when the ones before found nothing, and
+    with half its rows on ``helper`` when one is given (``compute_ra_map``).
     Returns the estimate and the index of the rung that detected the wall
     (None when none did).
 
@@ -357,7 +360,8 @@ def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
     """
 
     def fit(frame, window, **kwargs):
-        return estimate_surface(compute_ra_map(frame, radar, window=window),
+        return estimate_surface(compute_ra_map(frame, radar, window=window,
+                                               helper=helper),
                                 k=k, min_length=min_length, seed=seed, **kwargs)
 
     cleaned = suppress_point_returns(samples, radar, max_components=8)

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,25 @@ def rayleigh_field(shape, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * np.abs(rng.standard_normal(shape)
                           + 1j * rng.standard_normal(shape))
+
+
+class InlineExecutor:
+    """A stand-in for a trial's helper pool that runs each task at once on
+    the calling thread."""
+
+    def __init__(self, max_workers=1):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future

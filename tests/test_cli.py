@@ -143,3 +143,32 @@ def test_failing_trial_exit_code(tmp_path):
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc))
     assert main(["pipeline", "--scene", str(path)]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--export", "cvs"], ["simulate", "--export", "csv,bim"],
+    ["pipeline", "--export", "trial"], ["masks", "--export", "png"],
+    ["sweep", "--family", "delta_snr", "--trials", "1", "--export", "csv,svgz"]])
+def test_unknown_export_is_config_error(tmp_path, scene_file, capsys, argv):
+    """An ``--export`` name outside {csv,bin,pgm,svg} exits 2 before any
+    work, naming it, and writes nothing."""
+    out = tmp_path / "out"
+    if argv[0] != "sweep":
+        argv = argv + ["--scene", str(scene_file)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out-dir", str(out)])
+    assert exit_.value.code == 2
+    assert repr(argv[argv.index("--export") + 1].split(",")[-1]) \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_workers_below_one_is_config_error(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--family", "delta_snr", "--trials", "1",
+              "--workers", workers, "--out-dir", str(out)])
+    assert exit_.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()

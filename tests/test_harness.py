@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from nlosradar import (
     scenario_from_doc,
     synthesize,
 )
-from nlosradar import harness, surface
+from nlosradar import MAP_SIZE, harness, ramap, surface
 from nlosradar.classify import HypothesisDecision
 from nlosradar.harness import (
     PipelineOptions,
@@ -44,6 +43,8 @@ from nlosradar.harness import (
     sweep_identification,
     trial_seed,
 )
+
+from conftest import InlineExecutor  # noqa: E402 - shared
 
 
 def test_default_k(radar):
@@ -209,28 +210,6 @@ def test_unexpected_stage_error_escapes_run_sweep(workers, monkeypatch):
         run_sweep(sweep, PipelineOptions(), workers=workers)
 
 
-class _InlineExecutor:
-    """A stand-in for the trial's helper pool that runs each task at once
-    on the calling thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 def _helper_scenes():
     """The reference scene (rung 0), the surface-free scene that forms four
     maps, and the scenes only rungs 1 and 2 detect."""
@@ -245,37 +224,64 @@ def _helper_scenes():
 
 
 def test_helper_thread_map_changes_no_record(monkeypatch):
-    """Forming the detection map on the helper thread gives the records
-    that forming it inline on the calling thread gives."""
+    """Forming the detection map on the helper thread, and the upper half
+    of every Stage I map there too, gives the records that forming them
+    inline on the calling thread gives, on scenes of rungs 0, 1, 2 and
+    None."""
     specs = _helper_scenes()
     threads = []
+    halves = []
 
     def recorded(*args, **kwargs):
         threads.append(threading.get_ident())
         return compute_ra_map(*args, **kwargs)
 
+    range_rows = ramap._range_rows
+
+    def recorded_rows(spectrum, magnitude, lo, hi):
+        halves.append((threading.get_ident(), lo, hi))
+        range_rows(spectrum, magnitude, lo, hi)
+
     monkeypatch.setattr(harness, "compute_ra_map", recorded)
+    monkeypatch.setattr(ramap, "_range_rows", recorded_rows)
     threaded = [run_trial(spec) for spec in specs]
     assert len(threads) == len(specs)
     assert threading.get_ident() not in threads
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", _InlineExecutor)
+    # the four scenes form 1, 3, 2 and 3 Stage I maps, each in two halves
+    stage1 = [(t, lo, hi) for t, lo, hi in halves if (lo, hi) != (0, MAP_SIZE)]
+    assert len(stage1) == 2 * 9
+    assert {(lo, hi) for _, lo, hi in stage1} == \
+        {(0, MAP_SIZE // 2), (MAP_SIZE // 2, MAP_SIZE)}
+    assert all(t == threading.get_ident()
+               for t, lo, _ in stage1 if lo == 0)
+    assert any(t != threading.get_ident() for t, _, _ in stage1)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlineExecutor)
     inline = [run_trial(spec) for spec in specs]
     assert [r.stage1_rung for r in inline] == [0, None, 1, 2]
     assert [_comparable(r) for r in threaded] == \
         [_comparable(r) for r in inline]
 
 
-@pytest.mark.parametrize("where", ["detection map", "cancellation"])
+@pytest.mark.parametrize("where", ["detection map", "cancellation",
+                                   "helper half"])
 def test_fault_on_either_thread_escapes_with_its_type(where, monkeypatch):
-    """A fault in the map formed on the helper thread, or in Stage I on the
-    calling thread, reaches the caller of ``run_trial`` and of ``run_sweep``
-    (serial and threaded) as itself, and no helper thread outlives the
-    trial, whether it returns or raises."""
+    """A fault in the map formed on the helper thread, in Stage I on the
+    calling thread, or in the half of a Stage I map the helper forms,
+    reaches the caller of ``run_trial`` and of ``run_sweep`` (serial and
+    threaded) as itself, and no helper thread outlives the trial, whether
+    it returns or raises."""
     class Fault(RuntimeError):
         pass
 
     def broken(*args, **kwargs):
         raise Fault(where)
+
+    range_rows = ramap._range_rows
+
+    def broken_upper_half(spectrum, magnitude, lo, hi):
+        if lo == MAP_SIZE // 2:
+            raise Fault(where)
+        range_rows(spectrum, magnitude, lo, hi)
 
     spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
     baseline = threading.active_count()
@@ -283,8 +289,10 @@ def test_fault_on_either_thread_escapes_with_its_type(where, monkeypatch):
     assert threading.active_count() == baseline
     if where == "detection map":
         monkeypatch.setattr(harness, "compute_ra_map", broken)
-    else:
+    elif where == "cancellation":
         monkeypatch.setattr(surface, "suppress_point_returns", broken)
+    else:
+        monkeypatch.setattr(ramap, "_range_rows", broken_upper_half)
     with pytest.raises(Fault, match=where):
         run_trial(spec)
     assert threading.active_count() == baseline

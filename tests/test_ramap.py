@@ -1,3 +1,7 @@
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,11 +20,17 @@ from nlosradar import (
     write_map_binary,
     xy_to_polar,
 )
-from nlosradar.echo import WaveformConfig, _median
+from nlosradar.echo import (
+    _SAMPLE_STEP,
+    _SELECT_MIN,
+    WaveformConfig,
+    _bracketed,
+    _median,
+)
 from nlosradar.harness import reference_scene_doc
 from nlosradar.ramap import Peak, _argmax_cell
 
-from conftest import rayleigh_field  # noqa: E402 - shared test field
+from conftest import InlineExecutor, rayleigh_field  # noqa: E402 - shared
 
 
 @pytest.fixture
@@ -97,6 +107,36 @@ def test_pruned_transform_bit_identical_to_full(shape, window):
         assert m.values.dtype == expected.dtype == np.complex128
         assert np.array_equal(m.values, expected)
         assert m.values is m.values
+
+
+@pytest.mark.parametrize("window", [None, "hann", "hann2d"])
+@pytest.mark.parametrize("shape", [{}, {"num_rx": 12, "num_samples": 100},
+                                   {"num_samples": 256}])
+def test_helper_map_bit_identical_to_serial(shape, window):
+    """A map whose upper angle rows are formed on a helper equals the map
+    formed on one thread bit for bit: when the helper runs its half, when
+    it runs it at once, and when it is busy and the calling thread takes
+    the half back."""
+    radar = RadarConfig(**shape)
+    rng = np.random.default_rng(6)
+    size = (radar.num_rx, radar.num_samples)
+    frame = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    serial = compute_ra_map(frame, radar, window=window).magnitude
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        split = compute_ra_map(frame, radar, window=window, helper=helper)
+        assert np.array_equal(split.magnitude, serial)
+        release = threading.Event()
+        busy = helper.submit(release.wait, 60.0)
+        try:
+            taken_back = compute_ra_map(frame, radar, window=window,
+                                        helper=helper)
+        finally:
+            release.set()
+        assert busy.result() is True
+    assert np.array_equal(taken_back.magnitude, serial)
+    inline = compute_ra_map(frame, radar, window=window, helper=InlineExecutor())
+    assert np.array_equal(inline.magnitude, serial)
+    assert split.magnitude.flags.c_contiguous
 
 
 def test_argmax_cell_matches_masked_argmax(radar):
@@ -280,9 +320,101 @@ def test_median_equals_numpy_median(radar):
     sizes = {a.size % 2 for a in arrays}
     assert sizes == {0, 1}
     for a in arrays:
-        got = _median(a.copy())
+        before = a.copy()
+        got = _median(a)
         assert type(got) is float
         assert got == float(np.median(a)), (a.size, a.dtype)
+        assert np.array_equal(a, before)
+
+
+def _median_fields():
+    """2-D fields on both sides of the bracketing threshold, odd and even in
+    size: Rayleigh noise, quantized (ties and plateaus), all-equal, float32,
+    and a map with a strong ridge."""
+    fields = []
+    for shape in ((127, 129), (128, 127), (128, 128), (129, 129),
+                  (256, 256), (MAP_SIZE, MAP_SIZE)):
+        x = rayleigh_field(shape, shape[0] * shape[1])
+        fields += [x, np.round(2.0 * x) / 2.0, x.astype(np.float32)]
+    assert {f.size < _SELECT_MIN for f in fields} == {True, False}
+    assert {f.size % 2 for f in fields if f.size < _SELECT_MIN} == {0, 1}
+    assert {f.size % 2 for f in fields if f.size >= _SELECT_MIN} == {0, 1}
+    fields.append(np.full((MAP_SIZE, MAP_SIZE), 0.75))
+    ridge = rayleigh_field((MAP_SIZE, MAP_SIZE), 3)
+    ridge[100:140, 200:300] += 50.0
+    fields.append(ridge)
+    return fields
+
+
+def test_masked_median_equals_numpy_median(radar):
+    """The bracketed selection gives ``np.median`` of the selected cells
+    exactly, with no mask, the FOV mask (a broadcast column band), FOV plus
+    a range gate, random masks and a single cell, and NaN for an empty
+    mask, without changing the field."""
+    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
+    rng = np.random.default_rng(17)
+    checked = 0
+    for field in _median_fields():
+        before = field.copy()
+        masks = [None, rng.random(field.shape) < 0.6,
+                 rng.random(field.shape) < 0.1]
+        if field.shape == (MAP_SIZE, MAP_SIZE):
+            masks += [fov, fov & (np.arange(MAP_SIZE)[:, None] < 301),
+                      fov & (np.arange(MAP_SIZE)[:, None] < 300)]
+        single = np.zeros(field.shape, dtype=bool)
+        single[5, 7] = True
+        masks.append(single)
+        for valid in masks:
+            selected = field if valid is None else field[valid]
+            got = _median(field, valid)
+            assert type(got) is float
+            assert got == float(np.median(selected)), (field.shape, field.dtype)
+            checked += 1
+        assert np.array_equal(field, before)
+        empty = np.zeros(field.shape, dtype=bool)
+        assert np.isnan(_median(field, empty))
+        with pytest.warns(RuntimeWarning):
+            assert np.isnan(np.median(field[empty]))
+    assert checked > 90
+
+
+def test_median_bracket_miss_falls_back(radar):
+    """A field whose sampled cells all lie far above the rest puts the
+    bracket above the median; the selection then copies and partitions the
+    cells whole and still gives ``np.median``."""
+    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
+    field = rayleigh_field((MAP_SIZE, MAP_SIZE), 9)
+    step = np.s_[::_SAMPLE_STEP[0], ::_SAMPLE_STEP[1]]
+    field[step] += 100.0
+    for valid in (None, fov, np.random.default_rng(2).random(field.shape) < 0.5):
+        n = field.size if valid is None else int(np.count_nonzero(valid))
+        if valid is not None and valid.strides[0] == 0:
+            values = field[:, fov[0]]
+            assert _bracketed(values, None, n, (n - 1) // 2, n // 2) is None
+        else:
+            assert _bracketed(field, valid, n, (n - 1) // 2, n // 2) is None
+        selected = field if valid is None else field[valid]
+        assert _median(field, valid) == float(np.median(selected))
+
+
+def test_extract_peaks_memory_peak():
+    """Peak extraction over the FOV of a 512 map allocates under 1 MB: the
+    noise floor's median copies only the cells near it, and candidates are
+    searched in blocks of rows.  The Hann map of the raw reference frame,
+    whose target sidelobe fan puts 35,000 cells above the floor, is the
+    heaviest case Stage I meets."""
+    spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
+    ra_map = compute_ra_map(synthesize(spec), spec.radar, window="hann")
+    fov = ra_map.fov_mask()
+    expected = extract_peaks(ra_map, 40, 4, 12.0, fov)
+    tracemalloc.start()
+    try:
+        peaks = extract_peaks(ra_map, 40, 4, 12.0, fov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks == expected and len(peaks) == 40
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_extract_validation(radar):
