@@ -136,29 +136,9 @@ def _sweep_spec(args) -> harness.SweepSpec:
     bad = [f"unknown key {k!r}" for k in sorted(set(doc) - {f.name for f in fields})]
     bad += [f"missing key {f.name!r}" for f in fields
             if f.default is dataclasses.MISSING and f.name not in doc]
-    if not bad:
-        bad = _sweep_value_errors(doc)
     if bad:
         raise ValueError(f"sweep spec {args.spec}: " + ", ".join(bad))
-    doc["grid"] = tuple(doc["grid"])
     return harness.SweepSpec(**doc)
-
-
-def _sweep_value_errors(doc: dict) -> list[str]:
-    """Wrongly typed values of a sweep spec: ``grid`` must be a non-empty
-    list of numbers, ``trials_per_point`` and ``seed`` integers (not bools)."""
-    def is_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    bad = []
-    grid = doc["grid"]
-    if not (isinstance(grid, list) and grid
-            and all(is_int(v) or isinstance(v, float) for v in grid)):
-        bad.append(f"'grid' must be a non-empty list of numbers, not {grid!r}")
-    for key in ("trials_per_point", "seed"):
-        if key in doc and not is_int(doc[key]):
-            bad.append(f"{key!r} must be an integer, not {doc[key]!r}")
-    return bad
 
 
 def _cmd_sweep(args) -> int:

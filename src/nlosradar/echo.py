@@ -360,59 +360,46 @@ _SAMPLE_STEP = 5, 7       # the bracketing sample's row and column steps; odd,
 _BLOCK_CELLS = 1 << 15    # cells per block of the counting pass
 
 
-def _median(values: np.ndarray, valid: np.ndarray | None = None) -> float:
-    """``np.median(values[valid])``, or of all ``values`` when ``valid`` is
-    None, for a NaN-free array, without copying the selection.
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` of a NaN-free array or view, without copying
+    it whole.
 
-    A strided sample brackets the selection's middle order statistics
-    (``_bracketed``), and only the cells inside the bracket are copied and
-    partitioned.  When the bracket misses, and for fewer than
-    ``_SELECT_MIN`` cells, the selection is copied and partitioned whole.
-    An odd count takes the middle order statistic; an even count the mean
-    of the two middle ones, in the array's own precision, as ``np.median``
-    does.  NaN for an empty selection.  ``values`` is left unchanged.
+    A strided sample brackets the middle order statistics (``_bracketed``),
+    and only the cells inside the bracket are copied and partitioned.  When
+    the bracket misses, and for fewer than ``_SELECT_MIN`` cells, the
+    values are copied and partitioned whole.  An odd count takes the middle
+    order statistic; an even count the mean of the two middle ones, in the
+    array's own precision, as ``np.median`` does.  NaN for an empty array.
+    ``values`` is left unchanged.
     """
     if values.ndim != 2:
         values = values.reshape(values.size, 1)
-        if valid is not None:
-            valid = valid.reshape(values.shape)
-    if valid is not None and valid.strides[0] == 0:
-        # a mask repeating one band of columns down every row (the field
-        # of view) selects the band itself
-        cols = np.flatnonzero(valid[0])
-        if cols.size and cols[-1] - cols[0] + 1 == cols.size:
-            values, valid = values[:, cols[0]:cols[-1] + 1], None
-    n = values.size if valid is None else int(np.count_nonzero(valid))
+    n = values.size
     if n == 0:
         return float("nan")
     k1, k2 = (n - 1) // 2, n // 2
     if n >= _SELECT_MIN:
-        found = _bracketed(values, valid, n, k1, k2)
+        found = _bracketed(values, k1, k2)
         if found is not None:
             return found
-    return _middle(values.flatten() if valid is None else values[valid], k1, k2)
+    return _middle(values.flatten(), k1, k2)
 
 
-def _bracketed(values: np.ndarray, valid: np.ndarray | None, n: int,
-               k1: int, k2: int) -> float | None:
-    """Order statistics ``k1`` and ``k2`` of the ``n`` selected cells of a
-    2-D array, by bracketed selection (Floyd & Rivest, CACM 18(3), 1975).
+def _bracketed(values: np.ndarray, k1: int, k2: int) -> float | None:
+    """Order statistics ``k1`` and ``k2`` of a 2-D array or view, by
+    bracketed selection (Floyd & Rivest, CACM 18(3), 1975).
 
-    Every ``_SAMPLE_STEP`` row and column of the selection forms a sample of
-    m cells, and its cells 4 * sqrt(m) ranks to each side of the target
-    ranks give the bracket.  That is eight standard deviations of the
-    median's rank in a random sample; the strided sample of a map's
-    correlated cells spreads about 1.5 times wider, and no bracket missed
-    on the benchmark's maps.  One pass over blocks of rows counts the cells
-    below the bracket and gathers those inside it.  None when the sample is
-    empty or the bracket does not hold both order statistics.
+    Every ``_SAMPLE_STEP`` row and column forms a sample of m cells, and
+    its cells 4 * sqrt(m) ranks to each side of the target ranks give the
+    bracket.  That is eight standard deviations of the median's rank in a
+    random sample; the strided sample of a map's correlated cells spreads
+    about 1.5 times wider, and no bracket missed on the benchmark's maps.
+    One pass over blocks of rows counts the cells below the bracket and
+    gathers those inside it.  None when the bracket does not hold both
+    order statistics.
     """
-    step = np.s_[::_SAMPLE_STEP[0], ::_SAMPLE_STEP[1]]
-    sample = values[step].flatten() if valid is None \
-        else values[step][valid[step]]
-    m = sample.size
-    if m == 0:
-        return None
+    sample = values[::_SAMPLE_STEP[0], ::_SAMPLE_STEP[1]].flatten()
+    m, n = sample.size, values.size
     lo_r = max(0, math.floor(m * k1 / n - 4.0 * math.sqrt(m)))
     hi_r = min(m - 1, math.ceil(m * k2 / n + 4.0 * math.sqrt(m)))
     sample.partition([lo_r, hi_r])
@@ -422,9 +409,6 @@ def _bracketed(values: np.ndarray, valid: np.ndarray | None, n: int,
     for r in range(0, len(values), rows):
         block = values[r:r + rows]
         low, keep = block < lo, block <= hi
-        if valid is not None:
-            low &= valid[r:r + rows]
-            keep &= valid[r:r + rows]
         below += int(np.count_nonzero(low))
         keep ^= low                 # lo <= cell <= hi, as low implies keep
         inside.append(block[keep])

@@ -15,6 +15,7 @@ count.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -201,7 +202,9 @@ class SweepSpec:
     mode "fixed" reruns a fixed base scene (seeded draws and noise vary per
     trial); mode "identification" randomizes scene geometry per trial from
     the identification preset and runs matched truth-NLOS and truth-LOS
-    ensembles to estimate Pr(I1|I1) and Pr(I1|I0).
+    ensembles to estimate Pr(I1|I1) and Pr(I1|I0).  ``grid`` is a non-empty
+    list or tuple of numbers, kept as a tuple; ``trials_per_point`` and
+    ``seed`` are integers, not bools.
     """
 
     name: str
@@ -215,8 +218,16 @@ class SweepSpec:
     def __post_init__(self):
         if self.swept not in SWEPT_VARIABLES:
             raise ValueError(f"swept must be one of {SWEPT_VARIABLES}")
-        if not self.grid:
-            raise ValueError("grid must be nonempty")
+        if not (isinstance(self.grid, (list, tuple)) and self.grid
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        for v in self.grid)):
+            raise ValueError("'grid' must be a non-empty sequence of numbers, "
+                             f"not {self.grid!r}")
+        object.__setattr__(self, "grid", tuple(self.grid))
+        for key in ("trials_per_point", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key!r} must be an integer, not {value!r}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be at least 1")
         if self.mode not in ("fixed", "identification"):

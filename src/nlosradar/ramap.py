@@ -51,6 +51,7 @@ class RangeAngleMap:
                         frame on first read (only exports read it)
         range_axis_m:   meters at each row, 0 .. N*range_bin (exclusive)
         angle_axis_deg: degrees at each column (NaN outside visible space)
+        fov_cols:       slice of the columns inside the field of view
         radar:          the originating radar configuration
 
     ``RangeAngleMap(values, radar)`` wraps a complex map made by hand.
@@ -94,10 +95,18 @@ class RangeAngleMap:
         col = MAP_SIZE // 2 + MAP_SIZE * du * np.sin(np.radians(angle_deg))
         return int(np.clip(round(col), 0, MAP_SIZE - 1))
 
+    @cached_property
+    def fov_cols(self) -> slice:
+        """The columns inside the radar field of view, one band because the
+        angle axis is monotonic where it is defined."""
+        cols = np.flatnonzero(
+            np.abs(self.angle_axis_deg) <= self.radar.fov_half_angle_deg)
+        return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else slice(0, 0)
+
     def fov_mask(self) -> np.ndarray:
         """Boolean (512, 512) mask of cells inside the radar field of view."""
-        ok = np.isfinite(self.angle_axis_deg) \
-            & (np.abs(self.angle_axis_deg) <= self.radar.fov_half_angle_deg)
+        ok = np.zeros(MAP_SIZE, dtype=bool)
+        ok[self.fov_cols] = True
         return np.broadcast_to(ok[None, :], (MAP_SIZE, MAP_SIZE))
 
 
@@ -200,17 +209,19 @@ def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
 
 def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
                   noise_floor_db: float = 12.0,
-                  valid: np.ndarray | None = None) -> list[Peak]:
-    """Greedy iterative peak extraction.
+                  max_range_m: float | None = None) -> list[Peak]:
+    """Greedy iterative peak extraction inside the field of view.
 
-    Candidates are the 3 x 3-neighborhood local maxima of the magnitude map
-    (a smooth main lobe therefore yields exactly one candidate, not a trail
-    of shoulder cells).  The strongest candidate is recorded, candidates
-    within ``exclusion_radius_bins`` of it are suppressed, and the process
+    The search covers one rectangle of the map: the field-of-view columns
+    (``RangeAngleMap.fov_cols``), and of the rows those up to
+    ``max_range_m`` when it is given.  Candidates are the rectangle's
+    3 x 3-neighborhood local maxima of the magnitude map (a smooth main
+    lobe therefore yields exactly one candidate, not a trail of shoulder
+    cells).  The strongest candidate is recorded, candidates within
+    ``exclusion_radius_bins`` of it are suppressed, and the process
     repeats, stopping after ``k`` peaks or when the residual maximum falls
-    below the noise floor gate: median magnitude over the searchable region
-    plus ``noise_floor_db``.  ``valid`` optionally restricts the search to a
-    boolean cell mask.
+    below the noise floor gate: the median magnitude over the rectangle
+    plus ``noise_floor_db``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -218,27 +229,28 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
         raise ValueError("k exceeds the number of map cells")
 
     mag = ra_map.magnitude
-    if valid is not None and not valid.any():
+    rows = MAP_SIZE if max_range_m is None \
+        else int(np.count_nonzero(ra_map.range_axis_m <= max_range_m))
+    cols = ra_map.fov_cols
+    region = mag[:rows, cols]
+    if region.size == 0:
         return []
-    floor = _median(mag, valid) * 10.0 ** (noise_floor_db / 20.0)
+    floor = _median(region) * 10.0 ** (noise_floor_db / 20.0)
 
-    # a candidate is an interior cell above the floor that is at least as
-    # large as each of its 3 x 3 neighbors.  Over blocks of rows, only the
-    # cells above the floor are compared, as flat indices into the C-ordered
-    # map in row-major order, and each neighbor test keeps only the cells
-    # that passed the ones before (the angle neighbors, first, leave a few
-    # percent of them)
+    # a candidate is an interior cell of the rectangle above the floor that
+    # is at least as large as each of its 3 x 3 neighbors.  Over blocks of
+    # rows, only the cells above the floor are compared, as flat indices
+    # into the C-ordered map in row-major order, and each neighbor test
+    # keeps only the cells that passed the ones before (the angle neighbors,
+    # first, leave a few percent of them)
     flat = mag.reshape(-1)
-    width = MAP_SIZE - 2
+    lo, hi = max(cols.start, 1), min(cols.stop, MAP_SIZE - 1)
+    width, end = hi - lo, min(rows, MAP_SIZE - 1)
     cells, mags = [], []
     for p in range(1, MAP_SIZE - 1, _PEAK_ROWS):
-        rows = slice(p, min(p + _PEAK_ROWS, MAP_SIZE - 1))
-        above = mag[rows, 1:-1] > floor
-        if valid is not None:
-            above &= valid[rows, 1:-1]
         # np.nonzero of a 2-D mask walks it cell by cell, ten times slower
-        at = np.flatnonzero(above)
-        cell = at + 2 * (at // width) + (p * MAP_SIZE + 1)
+        at = np.flatnonzero(mag[p:min(p + _PEAK_ROWS, end), lo:hi] > floor)
+        cell = at + (MAP_SIZE - width) * (at // width) + (p * MAP_SIZE + lo)
         cmag = flat[cell]
         for offset in _NEIGHBORS:
             keep = cmag >= flat[cell + offset]

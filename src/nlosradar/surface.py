@@ -258,24 +258,22 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
                      seed: int = 0) -> SurfaceEstimate:
     """Detect the reflective surface on one map and estimate its parameters.
 
-    Extracts the ``k`` strongest in-FOV peaks (optionally only below
-    ``max_range_m``) at least 12 dB above the median map magnitude, at most
-    one per range-resolution cell, converts them to Cartesian coordinates
+    Extracts the ``k`` strongest peaks of the field of view (up to
+    ``max_range_m`` when given; ``extract_peaks``) at least 12 dB above the
+    median magnitude of that rectangle of the map, at most one per
+    range-resolution cell, converts them to Cartesian coordinates
     and fits a consensus line (``fit_ransac`` with ``inlier_threshold`` and
     ``seed``).  The surface counts as detected when the consensus set has
     at least ``MIN_INLIERS`` members spanning at least ``min_length``
     meters.  Absence of a surface is a regular not-detected outcome, never
     an error.
     """
-    valid = ra_map.fov_mask()
-    if max_range_m is not None:
-        valid = valid & (ra_map.range_axis_m[:, None] <= max_range_m)
     # the exclusion radius is the map rows a range-resolution cell spans, so
     # each occupied wall cell can contribute its own candidate
     cell_rows = MAP_SIZE // ra_map.radar.num_samples
     peaks = extract_peaks(ra_map, k + _EXTRACTION_HEADROOM,
                           exclusion_radius_bins=cell_rows,
-                          noise_floor_db=12.0, valid=valid)
+                          noise_floor_db=12.0, max_range_m=max_range_m)
     shadowed = _sidelobe_shadowed(peaks)
     peaks = [p for p, s in zip(peaks, shadowed) if not s]
     if len(peaks) < MIN_INLIERS:

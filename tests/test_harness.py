@@ -336,6 +336,27 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(name="x", swept="delta_snr", grid=(1.0,), trials_per_point=1,
                   base_scene={}, mode="other")
+    # a list grid (as a JSON spec gives it) is kept as a tuple; numpy
+    # numbers are numbers
+    sweep = SweepSpec(name="x", swept="delta_snr", grid=[1, np.float64(2.5)],
+                      trials_per_point=np.int64(2), base_scene={},
+                      seed=np.int32(3))
+    assert sweep.grid == (1, 2.5) and type(sweep.grid) is tuple
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", 5), ("grid", ["a"]), ("grid", [True]), ("grid", "12"),
+    ("grid", {1.0: 2.0}), ("trials_per_point", 2.5),
+    ("trials_per_point", "2"), ("trials_per_point", True), ("seed", "x"),
+    ("seed", 1.5), ("seed", None)])
+def test_sweep_spec_rejects_wrongly_typed_values(key, value):
+    """The library rejects a wrongly typed grid, trial count or seed with a
+    ValueError naming the field, as the CLI does for a spec file."""
+    kwargs = {"name": "x", "swept": "delta_snr", "grid": (1.0,),
+              "trials_per_point": 1, "base_scene": {}, "seed": 0}
+    kwargs[key] = value
+    with pytest.raises(ValueError, match=repr(key)):
+        SweepSpec(**kwargs)
 
 
 def _comparable(record):

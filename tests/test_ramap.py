@@ -179,6 +179,21 @@ def test_axes(radar):
     assert m.angle_axis_deg[0] == pytest.approx(-90.0)
 
 
+@pytest.mark.parametrize("fov_deg, band", [(60.0, (35, 478)), (90.0, (0, 512)),
+                                           (0.05, (256, 257))])
+def test_fov_cols_is_the_fov_band(fov_deg, band):
+    """The field of view is one band of columns: every column whose angle
+    lies within the half angle, and no other; the mask repeats it."""
+    cfg = RadarConfig(fov_half_angle_deg=fov_deg)
+    m = compute_ra_map(np.zeros((16, 128), dtype=complex), cfg)
+    inside = np.flatnonzero(np.isfinite(m.angle_axis_deg)
+                            & (np.abs(m.angle_axis_deg) <= fov_deg))
+    assert (m.fov_cols.start, m.fov_cols.stop) == band
+    assert np.array_equal(np.arange(*band), inside)
+    assert np.array_equal(np.flatnonzero(m.fov_mask()[0]), inside)
+    assert np.all(m.fov_mask() == m.fov_mask()[0])
+
+
 def test_parseval(radar):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128))
@@ -245,14 +260,13 @@ def _local_maxima(mag):
 
 def _reference_peaks(ra_map, k, exclusion_radius_bins, noise_floor_db,
                      valid):
-    """extract_peaks with the local-maximum test run over the whole map."""
+    """extract_peaks with the local-maximum test run over the whole map and
+    the search region given as a mask of ``valid`` cells."""
     mag = ra_map.magnitude
-    searchable = mag if valid is None else mag[valid]
-    floor = float(np.median(searchable)) * 10.0 ** (noise_floor_db / 20.0)
-    cand = _local_maxima(mag)
-    if valid is not None:
-        cand &= valid
-    cand &= mag > floor
+    if not valid.any():
+        return []
+    floor = float(np.median(mag[valid])) * 10.0 ** (noise_floor_db / 20.0)
+    cand = _local_maxima(mag) & valid & (mag > floor)
     ci, cj = np.nonzero(cand)
     cmag = mag[ci, cj]
     order = np.argsort(cmag, kind="stable")[::-1]
@@ -274,29 +288,46 @@ def _reference_peaks(ra_map, k, exclusion_radius_bins, noise_floor_db,
 
 def test_extract_peaks_matches_full_map_local_maxima(radar):
     """Testing only the cells above the floor finds the peaks, in the
-    order, that the local-maximum test over the whole map finds, also on
-    plateaus, ties and map edges."""
-    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
-    gated = fov & (np.arange(MAP_SIZE)[:, None] < 300)
-    rng = np.random.default_rng(5)
+    order, that the local-maximum test over the whole map finds inside the
+    searched rectangle: the field of view, alone and cut at a range limit
+    on a row, between rows and below the first; also on plateaus, ties,
+    map edges and the edges of the field of view."""
     checked = 0
-    for seed in range(4):
-        # quantized Rayleigh magnitudes: plateaus and exact ties
-        mag = np.round(4.0 * rayleigh_field((MAP_SIZE, MAP_SIZE), seed)) / 4.0
-        # strong cells on and next to every edge
-        mag[0, 40] = mag[MAP_SIZE - 1, 90] = mag[200, 0] = 50.0
-        mag[300, MAP_SIZE - 1] = mag[1, 1] = mag[MAP_SIZE - 2, 300] = 40.0
-        mag[100, 100] = mag[100, 101] = 30.0        # a two-cell plateau
-        ra_map = RangeAngleMap(mag.astype(complex), radar)
-        random_valid = rng.random((MAP_SIZE, MAP_SIZE)) < 0.6
-        for valid in (None, fov, gated, random_valid):
-            for k, radius, floor_db in ((400, 0, 3.0), (40, 4, 6.0),
-                                        (22, 8, 12.0)):
-                peaks = extract_peaks(ra_map, k, radius, floor_db, valid)
-                assert peaks == _reference_peaks(ra_map, k, radius,
-                                                 floor_db, valid)
-                checked += len(peaks)
-            assert extract_peaks(ra_map, 5, 8, 60.0, valid) == []
+    for fov_deg in (radar.fov_half_angle_deg, 90.0):
+        cfg = RadarConfig(fov_half_angle_deg=fov_deg)
+        cols = compute_ra_map(np.zeros((16, 128)), cfg).fov_cols
+        step = cfg.max_range_m / MAP_SIZE
+        limits = (None, 300 * step, 300.5 * step, 0.5 * step, -1.0)
+        for seed in range(5):
+            # quantized Rayleigh magnitudes: plateaus and exact ties; the
+            # last field is left unquantized, so every floor is its own
+            mag = rayleigh_field((MAP_SIZE, MAP_SIZE), seed)
+            if seed < 4:
+                mag = np.round(4.0 * mag) / 4.0
+            # strong cells on and next to every map edge, and on and next
+            # to both edges of the field of view
+            mag[0, 40] = mag[MAP_SIZE - 1, 90] = mag[200, 0] = 50.0
+            mag[300, MAP_SIZE - 1] = mag[1, 1] = mag[MAP_SIZE - 2, 300] = 40.0
+            mag[100, 100] = mag[100, 101] = 30.0        # a two-cell plateau
+            # outside the field of view the level is higher, so a floor
+            # taken over other cells than the rectangle's shows
+            mag[:, :cols.start] += 1.0
+            mag[:, cols.stop:] += 1.0
+            for j in (cols.start - 1, cols.start, cols.stop - 1, cols.stop):
+                mag[150 + j % 7, j % MAP_SIZE] = 45.0
+            ra_map = RangeAngleMap(mag.astype(complex), cfg)
+            for max_range_m in limits:
+                valid = ra_map.fov_mask()
+                if max_range_m is not None:
+                    valid = valid & (ra_map.range_axis_m[:, None] <= max_range_m)
+                for k, radius, floor_db in ((400, 0, 3.0), (40, 4, 6.0),
+                                            (22, 8, 12.0)):
+                    peaks = extract_peaks(ra_map, k, radius, floor_db,
+                                          max_range_m)
+                    assert peaks == _reference_peaks(ra_map, k, radius,
+                                                     floor_db, valid)
+                    checked += len(peaks)
+                assert extract_peaks(ra_map, 5, 8, 60.0, max_range_m) == []
     assert checked > 1000
 
 
@@ -347,54 +378,44 @@ def _median_fields():
 
 
 def test_masked_median_equals_numpy_median(radar):
-    """The bracketed selection gives ``np.median`` of the selected cells
-    exactly, with no mask, the FOV mask (a broadcast column band), FOV plus
-    a range gate, random masks and a single cell, and NaN for an empty
-    mask, without changing the field."""
-    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
-    rng = np.random.default_rng(17)
+    """The bracketed selection gives ``np.median`` of a view exactly: the
+    whole field, the FOV band, the band cut at 300 and 301 rows, column
+    slices that are not contiguous, an inner window and a single cell, and
+    NaN for an empty view, without changing the field."""
+    band = compute_ra_map(np.zeros((16, 128)), radar).fov_cols
     checked = 0
     for field in _median_fields():
         before = field.copy()
-        masks = [None, rng.random(field.shape) < 0.6,
-                 rng.random(field.shape) < 0.1]
+        views = [field, field[:, ::3], field[1:, 2:-3], field[5:6, 7:8]]
         if field.shape == (MAP_SIZE, MAP_SIZE):
-            masks += [fov, fov & (np.arange(MAP_SIZE)[:, None] < 301),
-                      fov & (np.arange(MAP_SIZE)[:, None] < 300)]
-        single = np.zeros(field.shape, dtype=bool)
-        single[5, 7] = True
-        masks.append(single)
-        for valid in masks:
-            selected = field if valid is None else field[valid]
-            got = _median(field, valid)
+            views += [field[:, band], field[:301, band], field[:300, band],
+                      field[:300, band.start:band.stop:2]]
+        for view in views:
+            got = _median(view)
             assert type(got) is float
-            assert got == float(np.median(selected)), (field.shape, field.dtype)
+            assert got == float(np.median(view)), (view.shape, field.dtype)
             checked += 1
         assert np.array_equal(field, before)
-        empty = np.zeros(field.shape, dtype=bool)
-        assert np.isnan(_median(field, empty))
+        assert np.isnan(_median(field[:0]))
         with pytest.warns(RuntimeWarning):
-            assert np.isnan(np.median(field[empty]))
-    assert checked > 90
+            assert np.isnan(np.median(field[:0]))
+    assert checked > 60
 
 
 def test_median_bracket_miss_falls_back(radar):
-    """A field whose sampled cells all lie far above the rest puts the
+    """A view whose sampled cells all lie far above the rest puts the
     bracket above the median; the selection then copies and partitions the
-    cells whole and still gives ``np.median``."""
-    fov = compute_ra_map(np.zeros((16, 128)), radar).fov_mask()
-    field = rayleigh_field((MAP_SIZE, MAP_SIZE), 9)
+    cells whole and still gives ``np.median``: on the whole field and on
+    the FOV band, alone and cut at a range row."""
+    band = compute_ra_map(np.zeros((16, 128)), radar).fov_cols
     step = np.s_[::_SAMPLE_STEP[0], ::_SAMPLE_STEP[1]]
-    field[step] += 100.0
-    for valid in (None, fov, np.random.default_rng(2).random(field.shape) < 0.5):
-        n = field.size if valid is None else int(np.count_nonzero(valid))
-        if valid is not None and valid.strides[0] == 0:
-            values = field[:, fov[0]]
-            assert _bracketed(values, None, n, (n - 1) // 2, n // 2) is None
-        else:
-            assert _bracketed(field, valid, n, (n - 1) // 2, n // 2) is None
-        selected = field if valid is None else field[valid]
-        assert _median(field, valid) == float(np.median(selected))
+    for region in (np.s_[:, :], np.s_[:, band], np.s_[:300, band]):
+        field = rayleigh_field((MAP_SIZE, MAP_SIZE), 9)
+        view = field[region]
+        view[step] += 100.0
+        n = view.size
+        assert _bracketed(view, (n - 1) // 2, n // 2) is None
+        assert _median(view) == float(np.median(view))
 
 
 def test_extract_peaks_memory_peak():
@@ -402,19 +423,25 @@ def test_extract_peaks_memory_peak():
     noise floor's median copies only the cells near it, and candidates are
     searched in blocks of rows.  The Hann map of the raw reference frame,
     whose target sidelobe fan puts 35,000 cells above the floor, is the
-    heaviest case Stage I meets."""
+    heaviest case Stage I meets; its fully tapered map cut at rung 1's range
+    limit is the other kind of search Stage I makes."""
     spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
-    ra_map = compute_ra_map(synthesize(spec), spec.radar, window="hann")
-    fov = ra_map.fov_mask()
-    expected = extract_peaks(ra_map, 40, 4, 12.0, fov)
-    tracemalloc.start()
-    try:
-        peaks = extract_peaks(ra_map, 40, 4, 12.0, fov)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peaks == expected and len(peaks) == 40
-    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
+    frame = synthesize(spec)
+    detection = compute_ra_map(frame, spec.radar)
+    i, _ = _argmax_cell(detection, detection.fov_mask())
+    gate = float(detection.range_axis_m[i]) - 4.5
+    for window, max_range_m, count in (("hann", None, 40),
+                                       ("hann2d", gate, 5)):
+        ra_map = compute_ra_map(frame, spec.radar, window=window)
+        expected = extract_peaks(ra_map, 40, 4, 12.0, max_range_m)
+        tracemalloc.start()
+        try:
+            peaks = extract_peaks(ra_map, 40, 4, 12.0, max_range_m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks == expected and len(peaks) == count
+        assert peak < 2**20, f"{window}: peak {peak / 2**20:.2f} MB"
 
 
 def test_extract_validation(radar):
