@@ -103,6 +103,13 @@ class RangeAngleMap:
             np.abs(self.angle_axis_deg) <= self.radar.fov_half_angle_deg)
         return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else slice(0, 0)
 
+    def fov_argmax(self) -> tuple[int, int]:
+        """(range bin, angle bin) of the strongest cell in the field of view:
+        the first in row-major order on a tie, or the first NaN."""
+        band = self.magnitude[:, self.fov_cols]
+        i, j = divmod(int(np.argmax(band)), band.shape[1])
+        return i, self.fov_cols.start + j
+
     def fov_mask(self) -> np.ndarray:
         """Boolean (512, 512) mask of cells inside the radar field of view."""
         ok = np.zeros(MAP_SIZE, dtype=bool)

@@ -22,7 +22,6 @@ from .geometry import RadarConfig
 from .ramap import (
     MAP_SIZE,
     RangeAngleMap,
-    _argmax_cell,
     compute_ra_map,
     extract_peaks,
     refine_peak_quadratic,
@@ -368,7 +367,7 @@ def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
         return est, 0
 
     ra_map = detection_map()
-    i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
+    i, _ = ra_map.fov_argmax()
     gate = float(ra_map.range_axis_m[i]) - 4.5
     if gate > 4.0:
         est = fit(cleaned, "hann2d", max_range_m=gate,
