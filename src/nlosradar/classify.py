@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ramap import MAP_SIZE, RangeAngleMap, _argmax_cell
+from .ramap import RangeAngleMap, _argmax_cell
 from .surface import SurfaceEstimate
 
 
@@ -80,7 +80,7 @@ class FovMasks:
     ``union`` holds the in-FOV cells outside the guard band, the cells the
     decision searches; it is formed when the masks are built.  Which of the
     two regions a cell belongs to takes a ray test that runs on demand:
-    ``region(i, j)`` for one cell, and the (512, 512) boolean ``los`` and
+    ``region(i, j)`` for one cell, and the map-shaped boolean ``los`` and
     ``nlos`` arrays on first access, each cell by the same formulas.
     """
 
@@ -164,7 +164,7 @@ def build_masks(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
     # only rows within reach of the band can hold band cells; a range step
     # of slack keeps rounding in the band test from mattering
     low, high = band.radii()
-    step = ra_map.radar.max_range_m / MAP_SIZE
+    step = ra_map.range_step_m
     near = (r >= low - step) & (r <= high + step)
     rows = r[near, None]
     union[near] &= ~band.contains(rows * sin_a, rows * cos_a)
@@ -199,9 +199,9 @@ def write_masks_pgm(masks: FovMasks, path) -> None:
 
     Row 0 is range bin 0; columns follow the angle axis.
     """
-    img = np.zeros((MAP_SIZE, MAP_SIZE), dtype=np.uint8)
+    img = np.zeros(masks.union.shape, dtype=np.uint8)
     img[masks.los] = 128
     img[masks.nlos] = 255
     with open(path, "wb") as f:
-        f.write(f"P5\n{MAP_SIZE} {MAP_SIZE}\n255\n".encode("ascii"))
+        f.write(b"P5\n%d %d\n255\n" % img.shape[::-1])
         f.write(img.tobytes())

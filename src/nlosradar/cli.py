@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,21 +27,18 @@ from .ramap import compute_ra_map, write_magnitude_csv, write_map_binary
 from .scenario import load_scenario
 
 
-EXPORTS = ("csv", "bin", "pgm", "svg")
-
-
 def _pipeline_options(args) -> harness.PipelineOptions:
     return harness.PipelineOptions(guard_m=args.guard_m)
 
 
-def _exports(text: str) -> frozenset[str]:
-    """``--export``: a comma list of names from ``EXPORTS``."""
+def _exports(accepted: tuple[str, ...], text: str) -> frozenset[str]:
+    """``--export``: a comma list of names from ``accepted``."""
     names = frozenset(text.split(","))
-    unknown = sorted(names - set(EXPORTS))
+    unknown = sorted(names - set(accepted))
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown export {', '.join(map(repr, unknown))}; "
-            f"choose from {','.join(EXPORTS)}")
+            f"choose from {','.join(accepted)}")
     return names
 
 
@@ -51,15 +49,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p):
+def _add_common(p, exports: tuple[str, ...]):
+    """The options every subcommand takes; ``exports`` are the names it
+    writes, the first the default."""
     p.add_argument("--seed", type=int, default=None,
                    help="override the scene/master seed")
     p.add_argument("--out-dir", type=Path, default=Path("."),
                    help="output directory (created if missing)")
     p.add_argument("--guard-m", type=float, default=1.0,
                    help="guard band half-width around the estimated surface")
-    p.add_argument("--export", type=_exports, default="csv",
-                   help=f"comma list from {{{','.join(EXPORTS)}}}")
+    p.add_argument("--export", type=functools.partial(_exports, exports),
+                   default=exports[0],
+                   help=f"comma list from {{{','.join(exports)}}}")
 
 
 def _load_scene(args):
@@ -75,12 +76,12 @@ def _cmd_simulate(args) -> int:
     echo = synthesize(spec)
     write_echo(args.out_dir / "echo.bin", echo, spec.radar, seed=spec.seed,
                metadata={"scene_class": spec.scene_class.value})
-    if {"csv", "bin"} & args.export:
-        ra_map = compute_ra_map(echo, spec.radar)
-        if "csv" in args.export:
-            write_magnitude_csv(ra_map, args.out_dir / "ra_map.csv")
-        if "bin" in args.export:
-            write_map_binary(ra_map, args.out_dir / "ra_map.bin", seed=spec.seed)
+    if "csv" in args.export:
+        write_magnitude_csv(compute_ra_map(echo, spec.radar),
+                            args.out_dir / "ra_map.csv")
+    if "bin" in args.export:
+        write_map_binary(echo, spec.radar, args.out_dir / "ra_map.bin",
+                         seed=spec.seed)
     print(f"wrote {args.out_dir / 'echo.bin'}")
     return 0
 
@@ -198,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="synthesize one scene and export")
     p_sim.add_argument("--scene", required=True, type=Path)
-    _add_common(p_sim)
+    _add_common(p_sim, ("csv", "bin"))
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_pipe = sub.add_parser("pipeline", help="run the three-stage pipeline")
     p_pipe.add_argument("--scene", required=True, type=Path)
-    _add_common(p_pipe)
+    _add_common(p_pipe, ("csv",))
     p_pipe.set_defaults(fn=_cmd_pipeline)
 
     p_sweep = sub.add_parser("sweep", help="run an experiment sweep")
@@ -217,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trials run at once, each on up to two threads")
     p_sweep.add_argument("--max-failures", type=float, default=0.1,
                          help="tolerated trial-failure fraction before exit 3")
-    _add_common(p_sweep)
+    _add_common(p_sweep, ("csv", "svg"))
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_masks = sub.add_parser("masks", help="export LOS/NLOS masks as PGM")
     p_masks.add_argument("--scene", required=True, type=Path)
-    _add_common(p_masks)
+    _add_common(p_masks, ("pgm",))
     p_masks.set_defaults(fn=_cmd_masks)
     return parser
 

@@ -71,6 +71,8 @@ class RadarConfig:
             raise ValueError(f"need num_rx, num_samples <= {MAX_FRAME_SIZE}")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.fov_half_angle_deg <= 90.0:
+            raise ValueError("need 0 < fov_half_angle_deg <= 90")
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.carrier_wavelength / 2.0)
 

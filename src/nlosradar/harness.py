@@ -204,7 +204,7 @@ class SweepSpec:
     the identification preset and runs matched truth-NLOS and truth-LOS
     ensembles to estimate Pr(I1|I1) and Pr(I1|I0).  ``grid`` is a non-empty
     list or tuple of numbers, kept as a tuple; ``trials_per_point`` and
-    ``seed`` are integers, not bools.
+    ``seed`` are integers, not bools; ``base_scene`` is a scene dict.
     """
 
     name: str
@@ -224,6 +224,8 @@ class SweepSpec:
             raise ValueError("'grid' must be a non-empty sequence of numbers, "
                              f"not {self.grid!r}")
         object.__setattr__(self, "grid", tuple(self.grid))
+        if not isinstance(self.base_scene, dict):
+            raise ValueError(f"'base_scene' must be an object, not {self.base_scene!r}")
         for key in ("trials_per_point", "seed"):
             value = getattr(self, key)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):

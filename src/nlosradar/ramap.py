@@ -28,9 +28,8 @@ from .geometry import RadarConfig
 MAP_SIZE = 512
 _BLOCK_ROWS = 64        # angle rows per range-transform block, 512 KB complex
 _PEAK_ROWS = 128        # map rows per block of the peak-candidate search
-# flat offsets of a cell's 3 x 3 neighbors, the angle neighbors first
-_NEIGHBORS = tuple(di * MAP_SIZE + dj for di, dj in (
-    (0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)))
+# (row, column) steps to a cell's 3 x 3 neighbors, the angle neighbors first
+_NEIGHBORS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 class Peak(NamedTuple):
@@ -45,55 +44,43 @@ class RangeAngleMap:
     """512 x 512 magnitude map with calibrated physical axes.
 
     Attributes:
-        magnitude:      float matrix, magnitude[range_bin, angle_bin]
-        values:         the complex map whose modulus ``magnitude`` is;
-                        a map from ``compute_ra_map`` forms it from its
-                        frame on first read (only exports read it)
+        magnitude:      real matrix, magnitude[range_bin, angle_bin]
+        range_step_m:   meters between adjacent rows
         range_axis_m:   meters at each row, 0 .. N*range_bin (exclusive)
         angle_axis_deg: degrees at each column (NaN outside visible space)
         fov_cols:       slice of the columns inside the field of view
         radar:          the originating radar configuration
 
-    ``RangeAngleMap(values, radar)`` wraps a complex map made by hand.
+    Every size the map's methods and this module's functions use is read
+    from ``magnitude``'s shape.
     """
 
-    def __init__(self, values: np.ndarray, radar: RadarConfig):
-        if values.shape != (MAP_SIZE, MAP_SIZE):
-            raise ValueError(f"map must be {MAP_SIZE} x {MAP_SIZE}")
-        self.values = values
-        self._set(np.abs(values), radar)
-
-    @classmethod
-    def _of_frame(cls, frame: np.ndarray, magnitude: np.ndarray,
-                  radar: RadarConfig) -> "RangeAngleMap":
-        """The map of a (windowed, complex) frame, of known magnitude."""
-        ra_map = cls.__new__(cls)
-        ra_map._frame = frame
-        ra_map._set(magnitude, radar)
-        return ra_map
-
-    def _set(self, magnitude: np.ndarray, radar: RadarConfig) -> None:
+    def __init__(self, magnitude: np.ndarray, radar: RadarConfig):
+        if np.iscomplexobj(magnitude) or magnitude.shape != (MAP_SIZE, MAP_SIZE):
+            raise ValueError(f"map must be a real {MAP_SIZE} x {MAP_SIZE} array")
+        rows, cols = magnitude.shape
         self.magnitude = magnitude
         self.radar = radar
-        self.range_axis_m = np.arange(MAP_SIZE) * (radar.max_range_m / MAP_SIZE)
-        du = radar.element_spacing / radar.carrier_wavelength
-        u = (np.arange(MAP_SIZE) - MAP_SIZE // 2) / (MAP_SIZE * du)
+        self.range_step_m = radar.max_range_m / rows
+        self.range_axis_m = np.arange(rows) * self.range_step_m
+        # columns per unit of direction cosine
+        self._cols_per_u = cols * (radar.element_spacing / radar.carrier_wavelength)
         with np.errstate(invalid="ignore"):
-            self.angle_axis_deg = np.degrees(np.arcsin(u))
+            self.angle_axis_deg = np.degrees(np.arcsin(
+                self._direction_cosine(np.arange(cols))))
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Complex matrix, values[range_bin, angle_bin], formed on first read."""
-        return _range_angle(self._frame, MAP_SIZE).T
+    def _direction_cosine(self, col):
+        """sin(angle) at a (fractional) column, or columns."""
+        return (col - self.magnitude.shape[1] // 2) / self._cols_per_u
 
     def nearest_range_bin(self, range_m: float) -> int:
-        step = self.radar.max_range_m / MAP_SIZE
-        return int(np.clip(round(range_m / step), 0, MAP_SIZE - 1))
+        row = round(range_m / self.range_step_m)
+        return int(np.clip(row, 0, len(self.range_axis_m) - 1))
 
     def nearest_angle_bin(self, angle_deg: float) -> int:
-        du = self.radar.element_spacing / self.radar.carrier_wavelength
-        col = MAP_SIZE // 2 + MAP_SIZE * du * np.sin(np.radians(angle_deg))
-        return int(np.clip(round(col), 0, MAP_SIZE - 1))
+        cols = len(self.angle_axis_deg)
+        col = cols // 2 + self._cols_per_u * np.sin(np.radians(angle_deg))
+        return int(np.clip(round(col), 0, cols - 1))
 
     @cached_property
     def fov_cols(self) -> slice:
@@ -101,7 +88,7 @@ class RangeAngleMap:
         angle axis is monotonic where it is defined."""
         cols = np.flatnonzero(
             np.abs(self.angle_axis_deg) <= self.radar.fov_half_angle_deg)
-        return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else slice(0, 0)
+        return slice(int(cols[0]), int(cols[-1]) + 1)
 
     def fov_argmax(self) -> tuple[int, int]:
         """(range bin, angle bin) of the strongest cell in the field of view:
@@ -111,10 +98,10 @@ class RangeAngleMap:
         return i, self.fov_cols.start + j
 
     def fov_mask(self) -> np.ndarray:
-        """Boolean (512, 512) mask of cells inside the radar field of view."""
-        ok = np.zeros(MAP_SIZE, dtype=bool)
+        """Boolean mask, the map's shape, of cells inside the field of view."""
+        ok = np.zeros(len(self.angle_axis_deg), dtype=bool)
         ok[self.fov_cols] = True
-        return np.broadcast_to(ok[None, :], (MAP_SIZE, MAP_SIZE))
+        return np.broadcast_to(ok, self.magnitude.shape)
 
 
 def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
@@ -137,14 +124,13 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     ``helper`` executor the upper half of the angle rows is transformed
     there while the calling thread transforms the lower half; if the helper
     has not begun its half by then, the calling thread takes it back.  The
-    map keeps a copy of the windowed frame and forms the complex ``values``
-    from it on first read.
+    complex map is formed only where it is written (``write_map_binary``).
 
     The transform is pruned (``echo._channel_spectrum``): of the 512
     zero-padded fast-time columns only the N that hold samples go through
     the channel FFT, because the DFT of an all-zero column is exactly zero.
     Every other operation is one the full 512 x 512 transform performs on
-    the same values, and scaling the range axis by 1/512 and back by 512
+    the same numbers, and scaling the range axis by 1/512 and back by 512
     (powers of two) is skipped, so the map is bit-identical to the unpruned
     transform, with or without a helper.
     """
@@ -157,8 +143,7 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
             samples = samples * np.hanning(n + 2)[1:-1][None, :]
     elif window is not None:
         raise ValueError(f"unknown window {window!r}")
-    frame = samples.astype(complex)
-    spectrum = _channel_spectrum(frame, MAP_SIZE)
+    spectrum = _channel_spectrum(samples, MAP_SIZE)
     magnitude = np.empty((MAP_SIZE, MAP_SIZE))
     half = MAP_SIZE // 2
     if helper is None:
@@ -170,7 +155,7 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
             _range_rows(spectrum, magnitude, half, MAP_SIZE)
         else:
             upper.result()
-    return RangeAngleMap._of_frame(frame, magnitude, radar)
+    return RangeAngleMap(magnitude, radar)
 
 
 def _range_rows(spectrum: np.ndarray, magnitude: np.ndarray, lo: int,
@@ -182,11 +167,11 @@ def _range_rows(spectrum: np.ndarray, magnitude: np.ndarray, lo: int,
     The block is allocated by the thread that runs the rows, so the
     calling thread's heap never holds both halves' blocks at once.
     """
-    n = spectrum.shape[0]
-    block = np.empty((_BLOCK_ROWS, MAP_SIZE), dtype=complex)
+    n, cols = spectrum.shape
+    block = np.empty((_BLOCK_ROWS, magnitude.shape[0]), dtype=complex)
     for p in range(lo, hi, _BLOCK_ROWS):
         # centred angle row p is FFT-order column p + 256 (mod 512)
-        c = (p + MAP_SIZE // 2) % MAP_SIZE
+        c = (p + cols // 2) % cols
         block[:, :n] = spectrum[:, c:c + _BLOCK_ROWS].T
         block[:, n:] = 0.0
         np.fft.ifft(block, axis=1, norm="forward", out=block)
@@ -202,13 +187,14 @@ def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
     """
     if not valid.any():
         raise ValueError("no valid cell to search")
+    rows, cols = ra_map.magnitude.shape
     best, cell = -1.0, None
-    for p in range(0, MAP_SIZE, _BLOCK_ROWS):
+    for p in range(0, rows, _BLOCK_ROWS):
         rows = slice(p, p + _BLOCK_ROWS)
         block = np.where(valid[rows], ra_map.magnitude[rows], -1.0)
         flat = int(np.argmax(block))
         if not block.flat[flat] <= best:        # larger, or NaN
-            best, cell = block.flat[flat], divmod(p * MAP_SIZE + flat, MAP_SIZE)
+            best, cell = block.flat[flat], divmod(p * cols + flat, cols)
             if np.isnan(best):
                 break
     return cell
@@ -236,7 +222,8 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
         raise ValueError("k exceeds the number of map cells")
 
     mag = ra_map.magnitude
-    rows = MAP_SIZE if max_range_m is None \
+    n_rows, n_cols = mag.shape
+    rows = n_rows if max_range_m is None \
         else int(np.count_nonzero(ra_map.range_axis_m <= max_range_m))
     cols = ra_map.fov_cols
     region = mag[:rows, cols]
@@ -251,20 +238,21 @@ def extract_peaks(ra_map: RangeAngleMap, k: int, exclusion_radius_bins: int = 8,
     # keeps only the cells that passed the ones before (the angle neighbors,
     # first, leave a few percent of them)
     flat = mag.reshape(-1)
-    lo, hi = max(cols.start, 1), min(cols.stop, MAP_SIZE - 1)
-    width, end = hi - lo, min(rows, MAP_SIZE - 1)
+    offsets = [di * n_cols + dj for di, dj in _NEIGHBORS]
+    lo, hi = max(cols.start, 1), min(cols.stop, n_cols - 1)
+    width, end = hi - lo, min(rows, n_rows - 1)
     cells, mags = [], []
-    for p in range(1, MAP_SIZE - 1, _PEAK_ROWS):
+    for p in range(1, n_rows - 1, _PEAK_ROWS):
         # np.nonzero of a 2-D mask walks it cell by cell, ten times slower
         at = np.flatnonzero(mag[p:min(p + _PEAK_ROWS, end), lo:hi] > floor)
-        cell = at + (MAP_SIZE - width) * (at // width) + (p * MAP_SIZE + lo)
+        cell = at + (n_cols - width) * (at // width) + (p * n_cols + lo)
         cmag = flat[cell]
-        for offset in _NEIGHBORS:
+        for offset in offsets:
             keep = cmag >= flat[cell + offset]
             cell, cmag = cell[keep], cmag[keep]
         cells.append(cell)
         mags.append(cmag)
-    ci, cj = np.divmod(np.concatenate(cells), MAP_SIZE)
+    ci, cj = np.divmod(np.concatenate(cells), n_cols)
     cmag = np.concatenate(mags)
     order = np.argsort(cmag, kind="stable")[::-1]
     ci, cj, cmag = ci[order], cj[order], cmag[order]
@@ -296,15 +284,12 @@ def refine_peak_quadratic(ra_map: RangeAngleMap, range_bin: int,
         return float(np.clip(0.5 * (m_prev - m_next) / denom, -0.5, 0.5))
 
     mag = ra_map.magnitude
+    rows, cols = mag.shape
     i, j = range_bin, angle_bin
-    d_i = vertex(mag[max(i - 1, 0), j], mag[i, j],
-                 mag[min(i + 1, MAP_SIZE - 1), j]) if 0 < i < MAP_SIZE - 1 else 0.0
-    d_j = vertex(mag[i, max(j - 1, 0)], mag[i, j],
-                 mag[i, min(j + 1, MAP_SIZE - 1)]) if 0 < j < MAP_SIZE - 1 else 0.0
-    step = ra_map.radar.max_range_m / MAP_SIZE
-    du = ra_map.radar.element_spacing / ra_map.radar.carrier_wavelength
-    u = (j + d_j - MAP_SIZE // 2) / (MAP_SIZE * du)
-    return (i + d_i) * step, float(np.degrees(np.arcsin(np.clip(u, -1.0, 1.0))))
+    d_i = vertex(mag[i - 1, j], mag[i, j], mag[i + 1, j]) if 0 < i < rows - 1 else 0.0
+    d_j = vertex(mag[i, j - 1], mag[i, j], mag[i, j + 1]) if 0 < j < cols - 1 else 0.0
+    u = np.clip(ra_map._direction_cosine(j + d_j), -1.0, 1.0)
+    return (i + d_i) * ra_map.range_step_m, float(np.degrees(np.arcsin(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +308,20 @@ def write_magnitude_csv(ra_map: RangeAngleMap, path) -> None:
             f.write("\n")
 
 
-def write_map_binary(ra_map: RangeAngleMap, path, seed: int = 0) -> None:
-    """Complex map dump mirroring the echo binary layout, plus JSON sidecar."""
-    header = _HEADER.pack(_MAGIC, _VERSION, 0, MAP_SIZE, MAP_SIZE,
-                          ra_map.radar.max_range_m / MAP_SIZE,
+def write_map_binary(echo: RadarEcho | np.ndarray, radar: RadarConfig, path,
+                     seed: int = 0) -> None:
+    """Untapered complex map of a frame (``echo._range_angle``), range-major,
+    mirroring the echo binary layout, plus JSON sidecar."""
+    samples = echo.samples if isinstance(echo, RadarEcho) else np.asarray(echo)
+    complex_map = _range_angle(samples, MAP_SIZE).T
+    step = radar.max_range_m / MAP_SIZE
+    header = _HEADER.pack(_MAGIC, _VERSION, 0, MAP_SIZE, MAP_SIZE, step,
                           seed & 0xFFFFFFFFFFFFFFFF)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(ra_map.values.astype(np.complex64)).tobytes())
+        f.write(np.ascontiguousarray(complex_map.astype(np.complex64)).tobytes())
     side = {"rows": "range", "cols": "angle", "size": MAP_SIZE,
-            "range_step_m": ra_map.radar.max_range_m / MAP_SIZE, "seed": seed}
+            "range_step_m": step, "seed": seed}
     with open(str(path) + ".json", "w", encoding="utf-8") as f:
         json.dump(side, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -330,6 +330,11 @@ def scenario_from_doc(doc: dict) -> ScenarioSpec:
     surface as target{phi_ko_deg, r2}.  When no scene_class key is present
     the class is inferred from the scene content.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scene document must be an object, not {doc!r}")
+    for key in ("radar", "surface", "target", "snr"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"scene {key!r} must be an object, not {doc[key]!r}")
     rd = doc.get("radar", {})
     if int(rd.get("num_tx", 1)) != 1:
         # the synthesizer has no transmitter dimension, so a file asking for

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import suppress_point_returns
-from .geometry import RadarConfig
+from .geometry import RadarConfig, polar_to_xy
 from .ramap import (
-    MAP_SIZE,
     RangeAngleMap,
     compute_ra_map,
     extract_peaks,
@@ -202,9 +201,8 @@ def _refined_cartesian(ra_map: RangeAngleMap, peaks: list) -> np.ndarray:
     """Candidate positions with quadratic sub-bin interpolation."""
     out = np.zeros((len(peaks), 2))
     for i, p in enumerate(peaks):
-        r, a = refine_peak_quadratic(ra_map, p.range_bin, p.angle_bin)
-        ar = math.radians(a)
-        out[i] = (r * math.sin(ar), r * math.cos(ar))
+        out[i] = polar_to_xy(*refine_peak_quadratic(ra_map, p.range_bin,
+                                                    p.angle_bin))
     return out
 
 
@@ -269,7 +267,7 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
     """
     # the exclusion radius is the map rows a range-resolution cell spans, so
     # each occupied wall cell can contribute its own candidate
-    cell_rows = MAP_SIZE // ra_map.radar.num_samples
+    cell_rows = len(ra_map.range_axis_m) // ra_map.radar.num_samples
     peaks = extract_peaks(ra_map, k + _EXTRACTION_HEADROOM,
                           exclusion_radius_bins=cell_rows,
                           noise_floor_db=12.0, max_range_m=max_range_m)

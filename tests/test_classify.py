@@ -24,7 +24,7 @@ from nlosradar import (
 
 
 def _flat_map(radar):
-    return RangeAngleMap(np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex), radar)
+    return RangeAngleMap(np.zeros((MAP_SIZE, MAP_SIZE)), radar)
 
 
 def _estimate(surface):
@@ -171,8 +171,7 @@ def test_on_demand_region_matches_masks(radar):
 
 def test_decide_region_matches_masks(radar):
     for k, surf in enumerate(_random_walls(43, 12)):
-        m = RangeAngleMap(rayleigh_field((MAP_SIZE, MAP_SIZE), seed=k)
-                          .astype(complex), radar)
+        m = RangeAngleMap(rayleigh_field((MAP_SIZE, MAP_SIZE), seed=k), radar)
         est = _estimate(surf)
         dec = decide(est, m, guard_m=1.0)
         masks = build_masks(est, m, guard_m=1.0)
@@ -184,7 +183,7 @@ def test_decide_region_matches_masks(radar):
 
 
 def test_decide_nlos_impulse(radar, strip_surface):
-    values = np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex)
+    values = np.zeros((MAP_SIZE, MAP_SIZE))
     m0 = _flat_map(radar)
     i, j = m0.nearest_range_bin(20.0), m0.nearest_angle_bin(0.0)
     values[i, j] = 9.0
@@ -196,7 +195,7 @@ def test_decide_nlos_impulse(radar, strip_surface):
 
 
 def test_decide_never_returns_guard_cell(radar, strip_surface):
-    values = np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex)
+    values = np.zeros((MAP_SIZE, MAP_SIZE))
     m0 = _flat_map(radar)
     # strongest cell sits on the surface strip, a weaker one is visible
     values[m0.nearest_range_bin(10.0), m0.nearest_angle_bin(0.0)] = 100.0

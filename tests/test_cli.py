@@ -112,7 +112,8 @@ def test_malformed_sweep_spec_is_config_error(tmp_path, capsys, change):
 @pytest.mark.parametrize("key, value", [
     ("grid", 5), ("grid", []), ("grid", [20.0, "30"]), ("grid", [True]),
     ("trials_per_point", "2"), ("trials_per_point", 2.0),
-    ("trials_per_point", True), ("seed", "4"), ("seed", False)])
+    ("trials_per_point", True), ("seed", "4"), ("seed", False),
+    ("base_scene", 5), ("base_scene", [])])
 def test_wrongly_typed_sweep_spec_is_config_error(tmp_path, capsys, key, value):
     """A spec whose keys are right but whose values have the wrong type is
     a configuration error (exit 2) naming the key, not a traceback."""
@@ -130,9 +131,11 @@ def test_missing_scene_is_config_error(tmp_path):
     assert code == 2
 
 
-def test_malformed_scene_is_config_error(tmp_path):
+@pytest.mark.parametrize("text", ["{not json", '{"surface": 5}'],
+                         ids=["not_json", "section_not_object"])
+def test_malformed_scene_is_config_error(tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     assert main(["simulate", "--scene", str(bad)]) == 2
 
 
@@ -148,10 +151,12 @@ def test_failing_trial_exit_code(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--export", "cvs"], ["simulate", "--export", "csv,bim"],
     ["pipeline", "--export", "trial"], ["masks", "--export", "png"],
-    ["sweep", "--family", "delta_snr", "--trials", "1", "--export", "csv,svgz"]])
+    ["sweep", "--family", "delta_snr", "--trials", "1", "--export", "csv,svgz"],
+    ["pipeline", "--export", "svg"], ["simulate", "--export", "pgm"],
+    ["masks", "--export", "csv"]])
 def test_unknown_export_is_config_error(tmp_path, scene_file, capsys, argv):
-    """An ``--export`` name outside {csv,bin,pgm,svg} exits 2 before any
-    work, naming it, and writes nothing."""
+    """An ``--export`` name the subcommand does not write exits 2 before
+    any work, naming it, and writes nothing."""
     out = tmp_path / "out"
     if argv[0] != "sweep":
         argv = argv + ["--scene", str(scene_file)]

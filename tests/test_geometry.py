@@ -30,6 +30,10 @@ def test_radar_config_validation():
         RadarConfig(bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         RadarConfig(num_samples=1)
+    # a field of view holds boresight and nothing behind the array
+    for fov in (-5.0, 0.0, 90.5, 120.0, float("nan")):
+        with pytest.raises(ValueError, match="fov_half_angle_deg"):
+            RadarConfig(fov_half_angle_deg=fov)
 
 
 def test_radar_config_rejects_frames_larger_than_cancellation():

@@ -348,10 +348,11 @@ def test_sweep_spec_validation():
     ("grid", 5), ("grid", ["a"]), ("grid", [True]), ("grid", "12"),
     ("grid", {1.0: 2.0}), ("trials_per_point", 2.5),
     ("trials_per_point", "2"), ("trials_per_point", True), ("seed", "x"),
-    ("seed", 1.5), ("seed", None)])
+    ("seed", 1.5), ("seed", None), ("base_scene", 5), ("base_scene", [])])
 def test_sweep_spec_rejects_wrongly_typed_values(key, value):
-    """The library rejects a wrongly typed grid, trial count or seed with a
-    ValueError naming the field, as the CLI does for a spec file."""
+    """The library rejects a wrongly typed grid, trial count, seed or base
+    scene with a ValueError naming the field, as the CLI does for a spec
+    file."""
     kwargs = {"name": "x", "swept": "delta_snr", "grid": (1.0,),
               "trials_per_point": 1, "base_scene": {}, "seed": 0}
     kwargs[key] = value

@@ -66,7 +66,7 @@ def test_ground_truth_then_solve_prp_recovers_path(surf, phi, r2):
 
 @functools.cache
 def _flat_map() -> RangeAngleMap:
-    return RangeAngleMap(np.zeros((MAP_SIZE, MAP_SIZE), dtype=complex),
+    return RangeAngleMap(np.zeros((MAP_SIZE, MAP_SIZE)),
                          RadarConfig())
 
 

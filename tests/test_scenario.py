@@ -189,6 +189,18 @@ def test_bad_target_keys():
                            "snr": {"surface_db": 30.0, "target_db": 50.0}})
 
 
+@pytest.mark.parametrize("doc, name", [
+    (5, "document"), ([], "document"), ("scene", "document"),
+    ({"radar": 5}, "'radar'"), ({"surface": 5}, "'surface'"),
+    ({"surface": [0.0, 10.0]}, "'surface'"), ({"target": 5}, "'target'"),
+    ({"snr": []}, "'snr'"), ({"snr": None}, "'snr'")])
+def test_scene_doc_sections_must_be_objects(doc, name):
+    """A document, or a section of one, that is not an object is a
+    ValueError naming it, not a TypeError or AttributeError on first use."""
+    with pytest.raises(ValueError, match=name):
+        scenario_from_doc(doc)
+
+
 def test_radar_overrides_respected():
     doc = {"radar": {"num_rx": 8, "num_samples": 64, "bandwidth_hz": 200e6},
            "target": {"x": 0.0, "y": 10.0},
