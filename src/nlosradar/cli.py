@@ -13,7 +13,6 @@ above threshold.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -21,10 +20,12 @@ from pathlib import Path
 
 from . import harness
 from .classify import build_masks, write_masks_pgm
-from .echo import synthesize, write_echo
+from .echo import OutOfWindowError, synthesize, write_echo
+from .geometry import GeometryError
 from .plotting import write_line_chart
 from .ramap import compute_ra_map, write_magnitude_csv, write_map_binary
-from .scenario import load_scenario
+from .scenario import check_keys, load_scenario
+from .surface import detect_surface
 
 
 def _pipeline_options(args) -> harness.PipelineOptions:
@@ -65,9 +66,7 @@ def _add_common(p, exports: tuple[str, ...]):
 
 def _load_scene(args):
     spec = load_scenario(args.scene)
-    if args.seed is not None:
-        spec = spec.with_seed(args.seed)
-    return spec
+    return spec if args.seed is None else spec.with_seed(args.seed)
 
 
 def _cmd_simulate(args) -> int:
@@ -112,9 +111,7 @@ def _cmd_pipeline(args) -> int:
             header += ",truth_x,truth_y,error_m"
             row += (f",{record.truth_target[0]:.6f}"
                     f",{record.truth_target[1]:.6f},{record.error_d:.6f}")
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(header + "\n")
-            f.write(row + "\n")
+        out.write_text(header + "\n" + row + "\n", encoding="utf-8")
         print(f"wrote {out}")
     return 0
 
@@ -129,16 +126,13 @@ def _sweep_spec(args) -> harness.SweepSpec:
         return harness.SWEEP_FAMILIES[args.family](**overrides)
     with open(args.spec, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"sweep spec {args.spec} must be an object, not {doc!r}")
     if args.trials is not None:
         doc["trials_per_point"] = args.trials
     if args.seed is not None:
         doc["seed"] = args.seed
-    fields = dataclasses.fields(harness.SweepSpec)
-    bad = [f"unknown key {k!r}" for k in sorted(set(doc) - {f.name for f in fields})]
-    bad += [f"missing key {f.name!r}" for f in fields
-            if f.default is dataclasses.MISSING and f.name not in doc]
-    if bad:
-        raise ValueError(f"sweep spec {args.spec}: " + ", ".join(bad))
+    check_keys(f"sweep spec {args.spec}", doc, harness.SweepSpec)
     return harness.SweepSpec(**doc)
 
 
@@ -173,17 +167,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_masks(args) -> int:
-    spec = _load_scene(args)
-    record = harness.run_trial(spec, _pipeline_options(args))
-    if record.error is not None or record.estimate is None:
-        print(f"trial failed: {record.error}", file=sys.stderr)
+    spec, options = _load_scene(args), _pipeline_options(args)
+    try:
+        echo = synthesize(spec,
+                          ghost_suppression_db=options.ghost_suppression_db)
+        ra_map = compute_ra_map(echo, spec.radar)
+        estimate, _ = detect_surface(
+            echo.samples, spec.radar, harness.default_k(spec), lambda: ra_map,
+            seed=spec.seed, min_length=options.min_length)
+    except (GeometryError, OutOfWindowError) as exc:
+        print(f"trial failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if not record.estimate.detected:
+    if not estimate.detected:
         print("no surface detected; nothing to mask", file=sys.stderr)
         return 3
-    echo = synthesize(spec)
-    ra_map = compute_ra_map(echo, spec.radar)
-    masks = build_masks(record.estimate, ra_map, guard_m=args.guard_m)
+    masks = build_masks(estimate, ra_map, guard_m=options.guard_m)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "masks.pgm"
     write_masks_pgm(masks, out)
@@ -233,7 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -161,8 +161,6 @@ def calibrate_noise(snr: SnrSpec, radar: RadarConfig,
     Solves  snr.surface_snr_db = 10*log10(A^2 / sigma_n^2) + 10*log10(Mr*N)
     for sigma_n^2, for a wall reflector of per-sample amplitude A.
     """
-    if not math.isfinite(snr.surface_snr_db):
-        raise ValueError("surface SNR must be finite")
     gain = radar.num_rx * radar.num_samples
     return wall_amplitude**2 * gain * 10.0 ** (-snr.surface_snr_db / 10.0)
 

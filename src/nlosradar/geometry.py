@@ -22,6 +22,10 @@ import numpy as np
 # Propagation speed, rounded so a 400 MHz sweep gives an exact 0.375 m range bin.
 SPEED_OF_LIGHT = 3.0e8
 
+# Most points a wall is sampled into, at half a range bin apart, before the
+# field-of-view cut; at the bound discretizing one takes about 19 MB.
+MAX_SURFACE_POINTS = 2**18
+
 # Side of the square transform point-return cancellation zero pads a frame
 # to, and so the most receivers and fast-time samples a frame may have.
 MAX_FRAME_SIZE = 256
@@ -69,12 +73,15 @@ class RadarConfig:
             raise ValueError("need num_rx >= 2, num_samples >= 2")
         if max(self.num_rx, self.num_samples) > MAX_FRAME_SIZE:
             raise ValueError(f"need num_rx, num_samples <= {MAX_FRAME_SIZE}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (self.bandwidth_hz > 0
+                and 0 < self.range_bin_m < self.max_range_m < math.inf):
+            raise ValueError("need bandwidth_hz > 0 with a nonzero, finite range bin")
         if not 0.0 < self.fov_half_angle_deg <= 90.0:
             raise ValueError("need 0 < fov_half_angle_deg <= 90")
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.carrier_wavelength / 2.0)
+        if not (self.carrier_wavelength > 0 and self.element_spacing > 0):
+            raise ValueError("need carrier_wavelength > 0, element_spacing > 0")
 
     @property
     def range_bin_m(self) -> float:
@@ -114,11 +121,11 @@ class ReflectiveSurface:
         if self.length <= 0:
             raise ValueError("surface length must be positive")
         if not 0.0 <= self.orientation_deg < 90.0:
-            raise ValueError("orientation must lie in [0, 90) degrees")
+            raise ValueError("surface orientation must lie in [0, 90) degrees")
         if not 0.0 <= self.backscatter_ratio <= 1.0:
-            raise ValueError("backscatter ratio must lie in [0, 1]")
+            raise ValueError("surface backscatter ratio must lie in [0, 1]")
         if self.irregularity_sigma < 0:
-            raise ValueError("irregularity sigma must be non-negative")
+            raise ValueError("surface irregularity sigma must be non-negative")
 
     @property
     def center(self) -> np.ndarray:
@@ -214,9 +221,13 @@ def discretize_surface(surface: ReflectiveSurface, radar: RadarConfig,
     tan(orientation) times the jitter; displacements are clipped at three
     sigma so the wall stays within a bounded band around its nominal line.
 
-    Raises OutsideFovError when no point survives the field-of-view cut.
+    Raises OutsideFovError when no point survives the field-of-view cut, and
+    ValueError before any allocation for over MAX_SURFACE_POINTS points.
     """
     step = radar.range_bin_m / 2.0
+    if not surface.length / step < MAX_SURFACE_POINTS:
+        raise ValueError(f"a surface 'length' of {surface.length} m needs over "
+                         f"{MAX_SURFACE_POINTS} points at half the 'radar' range bin")
     n = max(2, int(math.ceil(surface.length / step)) + 1)
     a, b = surface.endpoints()
     t = np.linspace(0.0, 1.0, n)

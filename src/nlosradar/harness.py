@@ -15,7 +15,6 @@ count.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,14 +23,17 @@ import numpy as np
 
 from .classify import Hypothesis, HypothesisDecision, decide
 from .echo import OutOfWindowError, synthesize
-from .geometry import GeometryError
+from .geometry import GeometryError, ReflectiveSurface
 from .localize import LocalizationResult, localize
 from .ramap import compute_ra_map
 from .scenario import (
     SceneClass,
     ScenarioSpec,
     SnrSpec,
+    build_section,
     randomize_scenario,
+    read_section,
+    read_value,
     scenario_from_doc,
 )
 from .surface import SurfaceEstimate, detect_surface
@@ -158,9 +160,7 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
 
 def rmse(values) -> float:
     arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    return float(np.sqrt(np.mean(arr**2)))
+    return float(np.sqrt(np.mean(arr**2))) if arr.size else float("nan")
 
 
 def rmse_d(records: list[TrialRecord]) -> float:
@@ -184,15 +184,16 @@ def rmse_d_standard_error(records: list[TrialRecord]) -> float:
 def identification_rate(records: list[TrialRecord]) -> float:
     """Fraction of decided-NLOS outcomes among completed trials."""
     flags = [r.decided_nlos for r in records if r.ok and r.decided_nlos is not None]
-    if not flags:
-        return float("nan")
-    return float(np.mean(flags))
+    return float(np.mean(flags)) if flags else float("nan")
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEPT_VARIABLES = ("delta_snr", "snr_w", "theta_w", "d_w", "sigma_x")
+# each swept variable's (section, key) in the scene document
+SWEPT_VARIABLES = {"delta_snr": ("snr", "target_db"), "snr_w": ("snr", "surface_db"),
+                   "theta_w": ("surface", "theta_deg"), "d_w": ("surface", "length"),
+                   "sigma_x": ("surface", "sigma_x")}
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,10 @@ class SweepSpec:
     mode "fixed" reruns a fixed base scene (seeded draws and noise vary per
     trial); mode "identification" randomizes scene geometry per trial from
     the identification preset and runs matched truth-NLOS and truth-LOS
-    ensembles to estimate Pr(I1|I1) and Pr(I1|I0).  ``grid`` is a non-empty
-    list or tuple of numbers, kept as a tuple; ``trials_per_point`` and
-    ``seed`` are integers, not bools; ``base_scene`` is a scene dict.
+    ensembles to estimate Pr(I1|I1) and Pr(I1|I0), and sweeps only
+    delta_snr.  ``grid`` is a non-empty list or tuple of finite numbers,
+    kept as a tuple of floats; ``trials_per_point`` (at least 1) and
+    ``seed`` are non-negative integers; ``base_scene`` is a scene document.
     """
 
     name: str
@@ -216,24 +218,24 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.swept not in SWEPT_VARIABLES:
-            raise ValueError(f"swept must be one of {SWEPT_VARIABLES}")
-        if not (isinstance(self.grid, (list, tuple)) and self.grid
-                and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                        for v in self.grid)):
-            raise ValueError("'grid' must be a non-empty sequence of numbers, "
-                             f"not {self.grid!r}")
-        object.__setattr__(self, "grid", tuple(self.grid))
-        if not isinstance(self.base_scene, dict):
-            raise ValueError(f"'base_scene' must be an object, not {self.base_scene!r}")
-        for key in ("trials_per_point", "seed"):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{key!r} must be an integer, not {value!r}")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be at least 1")
+        if not isinstance(self.swept, str) or self.swept not in SWEPT_VARIABLES:
+            raise ValueError(f"'swept' must be one of {tuple(SWEPT_VARIABLES)}, "
+                             f"not {self.swept!r}")
         if self.mode not in ("fixed", "identification"):
-            raise ValueError("mode must be 'fixed' or 'identification'")
+            raise ValueError("'mode' must be 'fixed' or 'identification', "
+                             f"not {self.mode!r}")
+        if self.mode == "identification" and self.swept != "delta_snr":
+            raise ValueError("an identification sweep ('mode') takes 'swept' "
+                             f"= 'delta_snr', not {self.swept!r}")
+        if not (isinstance(self.grid, (list, tuple)) and self.grid):
+            raise ValueError(f"'grid' must be a non-empty list, not {self.grid!r}")
+        object.__setattr__(self, "grid", tuple(
+            read_value("sweep", "grid", v) for v in self.grid))
+        for key in ("trials_per_point", "seed", "base_scene"):
+            object.__setattr__(self, key,
+                               read_value("sweep", key, getattr(self, key)))
+        if self.trials_per_point < 1:
+            raise ValueError("'trials_per_point' must be at least 1")
 
 
 def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
@@ -244,25 +246,18 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
 
 
 def _apply_swept(doc: dict, swept: str, value: float) -> dict:
-    doc = {k: (dict(v) if isinstance(v, dict) else v) for k, v in doc.items()}
-    snr = doc.setdefault("snr", {"surface_db": 30.0, "target_db": 50.0})
+    section, key = SWEPT_VARIABLES[swept]
+    if section not in doc:
+        raise ValueError(f"'base_scene' has no {section!r} to sweep {swept!r} in")
     if swept == "delta_snr":
-        snr["target_db"] = float(snr["surface_db"]) + value
-    elif swept == "snr_w":
-        snr["surface_db"] = value
-    elif swept == "theta_w":
-        doc["surface"]["theta_deg"] = value
-    elif swept == "d_w":
-        doc["surface"]["length"] = value
-    elif swept == "sigma_x":
-        doc["surface"]["sigma_x"] = value
-    return doc
+        value += build_section(doc, "snr").surface_snr_db
+    return {**doc, section: {**read_section(doc, section, partial=True),
+                             key: value}}
 
 
 def _fixed_point_specs(sweep: SweepSpec, point_index: int,
                        value: float) -> list[ScenarioSpec]:
-    doc = _apply_swept(sweep.base_scene, sweep.swept, value)
-    base = scenario_from_doc(doc)
+    base = scenario_from_doc(_apply_swept(sweep.base_scene, sweep.swept, value))
     return [base.with_seed(trial_seed(sweep.seed, point_index, j))
             for j in range(sweep.trials_per_point)]
 
@@ -270,21 +265,18 @@ def _fixed_point_specs(sweep: SweepSpec, point_index: int,
 def _identification_point_specs(sweep: SweepSpec, point_index: int,
                                 value: float) -> list[ScenarioSpec]:
     doc = sweep.base_scene
-    snr_w = float(doc.get("snr", {}).get("surface_db", 30.0))
+    snr_w = build_section(doc, "snr").surface_snr_db
     snr = SnrSpec(surface_snr_db=snr_w, target_snr_db=snr_w + value)
-    sigma_x = float(doc.get("surface", {}).get("sigma_x", 0.0))
-    specs = []
-    for j in range(sweep.trials_per_point):
-        seed = trial_seed(sweep.seed, point_index, j)
-        specs.append(randomize_scenario(SceneClass.NLOS, seed,
-                                        preset="identification", snr=snr,
-                                        sigma_x=sigma_x))
-    for j in range(sweep.trials_per_point):
-        seed = trial_seed(sweep.seed, point_index, sweep.trials_per_point + j)
-        cls = SceneClass.LOS_NO_SURFACE if j % 2 == 0 else SceneClass.LOS_SURFACE_MP
-        specs.append(randomize_scenario(cls, seed, preset="identification",
-                                        snr=snr, sigma_x=sigma_x))
-    return specs
+    sigma_x = read_section(doc, "surface", partial=True).get(
+        "sigma_x", ReflectiveSurface.irregularity_sigma)
+    # a truth-NLOS ensemble, then a truth-LOS one alternating its two classes
+    n = sweep.trials_per_point
+    classes = [SceneClass.NLOS] * n + [
+        SceneClass.LOS_SURFACE_MP if j % 2 else SceneClass.LOS_NO_SURFACE
+        for j in range(n)]
+    return [randomize_scenario(cls, trial_seed(sweep.seed, point_index, j),
+                               preset="identification", snr=snr, sigma_x=sigma_x)
+            for j, cls in enumerate(classes)]
 
 
 CSV_COLUMNS = ("value", "trials", "failures", "rmse_d", "se_rmse_d",
@@ -331,12 +323,13 @@ def run_sweep(sweep: SweepSpec, options: PipelineOptions = PipelineOptions(),
     ``run_trial``).
     """
     tasks: list[tuple[int, ScenarioSpec]] = []
+    point_specs = _fixed_point_specs if sweep.mode == "fixed" \
+        else _identification_point_specs
     for i, value in enumerate(sweep.grid):
-        if sweep.mode == "fixed":
-            specs = _fixed_point_specs(sweep, i, float(value))
-        else:
-            specs = _identification_point_specs(sweep, i, float(value))
-        tasks.extend((i, s) for s in specs)
+        try:
+            tasks.extend((i, s) for s in point_specs(sweep, i, value))
+        except ValueError as exc:
+            raise ValueError(f"sweep 'grid' value {value!r}: {exc}") from None
 
     if workers <= 1:
         records = [run_trial(spec, options) for _, spec in tasks]
@@ -347,19 +340,15 @@ def run_sweep(sweep: SweepSpec, options: PipelineOptions = PipelineOptions(),
     by_point: list[list[TrialRecord]] = [[] for _ in sweep.grid]
     for (i, _), rec in zip(tasks, records):
         by_point[i].append(rec)
-    rows = [_aggregate(float(value), point)
+    rows = [_aggregate(value, point)
             for value, point in zip(sweep.grid, by_point)]
     return rows, (by_point if keep_records else [])
 
 
 def _fmt(v) -> str:
-    if v is None:
+    if v is None or isinstance(v, float) and math.isnan(v):
         return ""
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        return f"{v:.10g}"
-    return str(v)
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -396,8 +385,7 @@ def sweep_delta_snr(grid=(10.0, 20.0, 30.0, 40.0), trials_per_point: int = 200,
     """Localization RMSE versus target-minus-surface SNR on the fixed scene."""
     return SweepSpec(name="delta_snr", swept="delta_snr", grid=tuple(grid),
                      trials_per_point=trials_per_point,
-                     base_scene=reference_scene_doc(snr_surface_db),
-                     mode="fixed", seed=seed)
+                     base_scene=reference_scene_doc(snr_surface_db), seed=seed)
 
 
 def sweep_identification(grid=(0.0, 10.0, 20.0, 30.0, 40.0),
@@ -417,7 +405,7 @@ def sweep_irregularity(grid=(0.0, 0.1, 0.2, 0.3), trials_per_point: int = 200,
     return SweepSpec(name="irregularity", swept="sigma_x", grid=tuple(grid),
                      trials_per_point=trials_per_point,
                      base_scene=reference_scene_doc(30.0, snr_target_db),
-                     mode="fixed", seed=seed)
+                     seed=seed)
 
 
 def sweep_surface_angle(grid=(5.0, 15.0, 25.0, 35.0, 45.0),
@@ -427,8 +415,7 @@ def sweep_surface_angle(grid=(5.0, 15.0, 25.0, 35.0, 45.0),
     doc = reference_scene_doc(30.0, snr_target_db)
     doc["target"] = {"phi_ko_deg": 9.46, "r2": 11.89}
     return SweepSpec(name="surface_angle", swept="theta_w", grid=tuple(grid),
-                     trials_per_point=trials_per_point, base_scene=doc,
-                     mode="fixed", seed=seed)
+                     trials_per_point=trials_per_point, base_scene=doc, seed=seed)
 
 
 def sweep_surface_length(grid=(1.0, 3.0, 5.0, 7.0, 9.0, 11.0),
@@ -438,8 +425,7 @@ def sweep_surface_length(grid=(1.0, 3.0, 5.0, 7.0, 9.0, 11.0),
     doc = reference_scene_doc(30.0, snr_target_db)
     doc["target"] = {"phi_ko_deg": 9.46, "r2": 11.89}
     return SweepSpec(name="surface_length", swept="d_w", grid=tuple(grid),
-                     trials_per_point=trials_per_point, base_scene=doc,
-                     mode="fixed", seed=seed)
+                     trials_per_point=trials_per_point, base_scene=doc, seed=seed)
 
 
 SWEEP_FAMILIES = {

@@ -15,19 +15,16 @@ are supported:
   los_with_surface_mp     surface present, visible target; direct path plus
                           the two-bounce ghost return
 
-Randomized scenes follow one of two named parameter presets; distribution
-bounds are enforced by construction and checked by rejection sampling.
-The wall orientation is drawn once per scene and held through the
-rejection loop, so it is exactly uniform on its preset interval; the other
-fields are redrawn until the scene is valid, so they follow their preset
-distributions conditioned on validity (a steep wall, say, admits fewer
-target bearings than a shallow one).
+Randomized scenes follow one of two named parameter presets (see
+randomize_scenario).  SECTIONS describes the scene file once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -56,10 +53,15 @@ class SceneClass(str, Enum):
 
 @dataclass(frozen=True)
 class SnrSpec:
-    """Post-processing SNR targets in dB (after coherent integration gain)."""
+    """Post-processing SNR targets in dB (after coherent integration gain),
+    each within +-300 dB: beyond that 10**(SNR/10) nears float64's range."""
 
-    surface_snr_db: float
-    target_snr_db: float
+    surface_snr_db: float = 30.0
+    target_snr_db: float = 50.0
+
+    def __post_init__(self):
+        if not (abs(self.surface_snr_db) <= 300 and abs(self.target_snr_db) <= 300):
+            raise ValueError(f"need SNRs within +-300 dB: {self}")
 
     @property
     def delta_snr_db(self) -> float:
@@ -77,6 +79,14 @@ class ScenarioSpec:
     snr: SnrSpec
     scene_class: SceneClass
     seed: int = 0
+
+    def __post_init__(self):
+        walled = self.scene_class is not SceneClass.LOS_NO_SURFACE
+        if (self.surface is not None) != walled:
+            raise ValueError(f"a {self.scene_class.value} scene "
+                             f"{'needs a' if walled else 'has no'} 'surface'")
+        if self.target is None and self.scene_class is not SceneClass.LOS_SURFACE_NO_MP:
+            raise ValueError(f"a {self.scene_class.value} scene needs a 'target'")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -104,17 +114,8 @@ def apparent_position(surface: ReflectiveSurface, target: PointTarget) -> np.nda
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
-    """Raise GeometryError/ValueError when class contracts are violated."""
-    if spec.scene_class is SceneClass.LOS_NO_SURFACE:
-        if spec.surface is not None:
-            raise ValueError("los_no_surface scene carries a surface")
-        if spec.target is None:
-            raise ValueError("los_no_surface scene needs a target")
-    elif spec.surface is None:
-        raise ValueError(f"{spec.scene_class.value} scene needs a surface")
-    if spec.target is None and spec.scene_class in (SceneClass.NLOS,
-                                                    SceneClass.LOS_SURFACE_MP):
-        raise ValueError("scene needs a target")
+    """Raise GeometryError when the scene's geometry violates its class
+    contract; ScenarioSpec itself refuses a missing or extra section."""
     if spec.target is not None and not spec.radar.in_fov(spec.target.xy):
         raise GeometryError("target outside the radar field of view")
 
@@ -175,20 +176,13 @@ def _draw_surface(rng, preset: ScenarioPreset, theta_deg: float,
 
 
 def _surface_in_fov(surface: ReflectiveSurface, radar: RadarConfig) -> bool:
-    a, b = surface.endpoints()
-    for p in (a, b, surface.center):
-        if radar.in_fov(p):
-            return True
-    return False
+    return any(radar.in_fov(p) for p in (*surface.endpoints(), surface.center))
 
 
 def _draw_phi_ko(rng, surface: ReflectiveSurface, preset: ScenarioPreset) -> float:
-    a, b = surface.endpoints()
-    _, phi_a = xy_to_polar(a)
-    _, phi_b = xy_to_polar(b)
+    (_, phi_a), (_, phi_b) = map(xy_to_polar, surface.endpoints())
     sa, sb = preset.phi_ko_endpoint_scale
-    lo, hi = sorted((sa * phi_a, sb * phi_b))
-    return rng.uniform(lo, hi)
+    return rng.uniform(*sorted((sa * phi_a, sb * phi_b)))
 
 
 def randomize_scenario(scene_class: SceneClass | str, seed: int,
@@ -223,58 +217,41 @@ def randomize_scenario(scene_class: SceneClass | str, seed: int,
             target_snr_db=rng.uniform(*preset.snr_target_db),
         )
         try:
-            if scene_class is SceneClass.LOS_NO_SURFACE:
-                r = rng.uniform(*preset.los_range)
-                ang = rng.uniform(*preset.los_angle_deg)
-                xy = polar_to_xy(r, ang)
-                target = PointTarget(x=float(xy[0]), y=float(xy[1]))
-                spec = ScenarioSpec(radar=radar, surface=None, target=target,
-                                    snr=drawn_snr, scene_class=scene_class,
-                                    seed=seed)
-                validate_scenario(spec)
-                return spec
-
-            surface = _draw_surface(rng, preset, theta_deg, sigma_x)
-            if not _surface_in_fov(surface, radar):
-                continue
+            surface = prp = None
+            if scene_class is not SceneClass.LOS_NO_SURFACE:
+                surface = _draw_surface(rng, preset, theta_deg, sigma_x)
+                if not _surface_in_fov(surface, radar):
+                    continue
 
             if scene_class in (SceneClass.NLOS, SceneClass.LOS_SURFACE_NO_MP):
                 phi = _draw_phi_ko(rng, surface, preset)
                 r2 = rng.uniform(*preset.r2)
                 target = target_from_prp(surface, phi, r2)
                 prp = solve_prp(surface, (0.0, 0.0), target.xy)
-                if not prp.on_segment:
-                    continue
-                if prp.r_radar_prp + prp.r_prp_target >= 0.98 * radar.max_range_m:
-                    continue
                 if scene_class is SceneClass.LOS_SURFACE_NO_MP:
                     # occluded placement, but the echo will be direct-path only
-                    target = PointTarget(
-                        x=float(prp.prp[0] + r2 * math.sin(math.radians(prp.angle_deg))),
-                        y=float(prp.prp[1] + r2 * math.cos(math.radians(prp.angle_deg))))
+                    xy = np.add(prp.prp, polar_to_xy(r2, prp.angle_deg))
+                    target = PointTarget(x=float(xy[0]), y=float(xy[1]))
                     if not occludes(surface, target.xy):
                         continue
-            else:  # LOS_SURFACE_MP: visible target with a live specular path
-                r = rng.uniform(*preset.los_range)
-                ang = rng.uniform(*preset.los_angle_deg)
-                xy = polar_to_xy(r, ang)
+            else:  # a visible target, with a live specular path off a wall
+                xy = polar_to_xy(rng.uniform(*preset.los_range),
+                                 rng.uniform(*preset.los_angle_deg))
                 target = PointTarget(x=float(xy[0]), y=float(xy[1]))
-                if occludes(surface, target.xy):
-                    continue
-                if abs(surface.signed_offset(target.xy)) < 2.5 or \
-                        surface.signed_offset(target.xy) < 0:
-                    continue
-                prp = solve_prp(surface, (0.0, 0.0), target.xy)
-                if not prp.on_segment:
-                    continue
-                if prp.r_radar_prp + prp.r_prp_target >= 0.98 * radar.max_range_m:
-                    continue
+                if surface is not None:
+                    if occludes(surface, target.xy) or \
+                            surface.signed_offset(target.xy) < 2.5:
+                        continue
+                    prp = solve_prp(surface, (0.0, 0.0), target.xy)
+            if prp is not None and not (prp.on_segment and prp.r_radar_prp
+                                        + prp.r_prp_target < 0.98 * radar.max_range_m):
+                continue
 
             spec = ScenarioSpec(radar=radar, surface=surface, target=target,
                                 snr=drawn_snr, scene_class=scene_class, seed=seed)
             validate_scenario(spec)
             return spec
-        except (GeometryError, ValueError):
+        except GeometryError:
             continue
     raise GeometryError(
         f"could not draw a valid {scene_class.value} scene in {_MAX_ATTEMPTS} attempts")
@@ -284,33 +261,84 @@ def randomize_scenario(scene_class: SceneClass | str, seed: int,
 # scene-file IO
 
 
+# Each scene section's dataclass and {document key: field}; a key a file
+# leaves out takes the dataclass default.  The two extras, radar.num_tx and
+# the polar target {phi_ko_deg, r2}, map to None and are read apart.
+SECTIONS = {
+    "radar": (RadarConfig, {k: k for k in (
+        "num_rx", "num_samples", "bandwidth_hz", "carrier_wavelength",
+        "element_spacing", "fov_half_angle_deg")} | {"num_tx": None}),
+    "surface": (ReflectiveSurface, {
+        "x": "center_x", "y": "center_y", "length": "length",
+        "theta_deg": "orientation_deg", "lambda": "backscatter_ratio",
+        "psi": "beamwidth_exponent", "sigma_x": "irregularity_sigma"}),
+    "target": (PointTarget, {"x": "x", "y": "y", "phi_ko_deg": None, "r2": None}),
+    "snr": (SnrSpec, {"surface_db": "surface_snr_db", "target_db": "target_snr_db"}),
+}
+INTEGER_KEYS = ("num_rx", "num_samples", "num_tx", "seed", "trials_per_point")
+
+
+def read_value(where: str, key: str, value):
+    """``value`` of a scene or sweep document's ``key``: an object for a
+    section or a base scene, a non-negative int for the INTEGER_KEYS and a
+    finite float for any other key, never from a bool; anything else is a
+    ValueError naming ``where`` and ``key``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if key in SECTIONS or key == "base_scene":
+        if isinstance(value, dict):
+            return value
+        kind = "an object"
+    elif key in INTEGER_KEYS:
+        if real and isinstance(value, numbers.Integral) and value >= 0:
+            return int(value)
+        kind = "a non-negative integer"
+    elif real and abs(value) <= sys.float_info.max:
+        return float(value)
+    else:
+        kind = "a finite number"
+    raise ValueError(f"{where} {key!r} must be {kind}, not {value!r}")
+
+
+def check_keys(where: str, doc: dict, cls, keys: dict | None = None,
+               partial: bool = False) -> None:
+    """A ValueError naming ``where``, each key of ``doc`` not in ``keys``
+    ({document key: field of dataclass ``cls``}, by default its field names)
+    and, unless ``partial``, each missing key whose field has no default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    keys = keys or dict(zip(defaults, defaults))
+    bad = [f"unknown key {k!r}" for k in doc if k not in keys]
+    bad += [f"missing key {k!r}" for k, f in keys.items() if not partial
+            and k not in doc and defaults.get(f) is dataclasses.MISSING]
+    if bad:
+        raise ValueError(f"{where}: " + ", ".join(bad))
+
+
+def read_section(doc: dict, name: str, partial: bool = False) -> dict:
+    """Scene section ``name`` as {document key: value}, empty when absent,
+    its keys checked by check_keys and its values by read_value."""
+    section = read_value("scene", name, doc.get(name, {}))
+    check_keys(f"scene {name!r}", section, *SECTIONS[name], partial)
+    return {k: read_value(name, k, v) for k, v in section.items()}
+
+
+def build_section(doc: dict, name: str):
+    """Scene section ``name`` as its dataclass; a ValueError from the
+    dataclass's own checks names the section."""
+    cls, keys = SECTIONS[name]
+    values = read_section(doc, name)
+    try:
+        return cls(**{keys[k]: v for k, v in values.items() if keys[k]})
+    except ValueError as exc:
+        raise ValueError(f"scene {name!r}: {exc}") from None
+
+
 def save_scenario(spec: ScenarioSpec, path) -> None:
     """Write a scenario to a JSON scene file."""
-    doc: dict = {
-        "radar": {
-            "num_rx": spec.radar.num_rx,
-            "num_samples": spec.radar.num_samples,
-            "bandwidth_hz": spec.radar.bandwidth_hz,
-            "carrier_wavelength": spec.radar.carrier_wavelength,
-            "element_spacing": spec.radar.element_spacing,
-            "fov_half_angle_deg": spec.radar.fov_half_angle_deg,
-        },
-        "snr": {
-            "surface_db": spec.snr.surface_snr_db,
-            "target_db": spec.snr.target_snr_db,
-        },
-        "scene_class": spec.scene_class.value,
-        "seed": spec.seed,
-    }
-    if spec.surface is not None:
-        s = spec.surface
-        doc["surface"] = {
-            "x": s.center_x, "y": s.center_y, "length": s.length,
-            "theta_deg": s.orientation_deg, "lambda": s.backscatter_ratio,
-            "psi": s.beamwidth_exponent, "sigma_x": s.irregularity_sigma,
-        }
-    if spec.target is not None:
-        doc["target"] = {"x": spec.target.x, "y": spec.target.y}
+    doc: dict = {"scene_class": spec.scene_class.value, "seed": spec.seed}
+    for name, (_, keys) in SECTIONS.items():
+        if getattr(spec, name) is not None:
+            doc[name] = {k: getattr(getattr(spec, name), f)
+                         for k, f in keys.items() if f}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -319,12 +347,11 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
 def load_scenario(path) -> ScenarioSpec:
     """Read a JSON scene file; see scenario_from_doc for the schema."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return scenario_from_doc(doc)
+        return scenario_from_doc(json.load(f))
 
 
 def scenario_from_doc(doc: dict) -> ScenarioSpec:
-    """Build a scenario from its JSON-style document.
+    """Build a scenario from its JSON-style document (see SECTIONS).
 
     Targets may be given in Cartesian form, target{x, y}, or anchored to the
     surface as target{phi_ko_deg, r2}.  When no scene_class key is present
@@ -332,53 +359,29 @@ def scenario_from_doc(doc: dict) -> ScenarioSpec:
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a scene document must be an object, not {doc!r}")
-    for key in ("radar", "surface", "target", "snr"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ValueError(f"scene {key!r} must be an object, not {doc[key]!r}")
-    rd = doc.get("radar", {})
-    if int(rd.get("num_tx", 1)) != 1:
+    check_keys("scene", doc, ScenarioSpec, partial=True)
+    if read_section(doc, "radar").get("num_tx") not in (None, 1):
         # the synthesizer has no transmitter dimension, so a file asking for
         # more transmitters would get a frame that misses its SNRs
         raise ValueError("only radar.num_tx = 1 is supported")
-    radar = RadarConfig(
-        num_rx=int(rd.get("num_rx", 16)),
-        num_samples=int(rd.get("num_samples", 128)),
-        bandwidth_hz=float(rd.get("bandwidth_hz", 400e6)),
-        carrier_wavelength=float(rd.get("carrier_wavelength",
-                                        RadarConfig().carrier_wavelength)),
-        element_spacing=rd.get("element_spacing"),
-        fov_half_angle_deg=float(rd.get("fov_half_angle_deg", 60.0)),
-    )
+    surface = build_section(doc, "surface") if "surface" in doc else None
+    target, td = None, read_section(doc, "target", partial=True)
+    if "x" in td and "y" in td:
+        target = build_section(doc, "target")
+    elif "phi_ko_deg" in td and "r2" in td:
+        if surface is None:
+            raise ValueError("a polar 'target' needs a 'surface'")
+        try:
+            target = target_from_prp(surface, td["phi_ko_deg"], td["r2"])
+        except GeometryError as exc:
+            raise GeometryError(f"'target' off the 'surface': {exc}") from None
+    elif "target" in doc:
+        raise ValueError("scene 'target' needs {x, y} or {phi_ko_deg, r2}")
 
-    surface = None
-    if "surface" in doc:
-        sd = doc["surface"]
-        surface = ReflectiveSurface(
-            center_x=float(sd["x"]), center_y=float(sd["y"]),
-            length=float(sd["length"]), orientation_deg=float(sd["theta_deg"]),
-            backscatter_ratio=float(sd.get("lambda", 0.846)),
-            beamwidth_exponent=float(sd.get("psi", 14.0)),
-            irregularity_sigma=float(sd.get("sigma_x", 0.0)),
-        )
-
-    target = None
-    if "target" in doc:
-        td = doc["target"]
-        if "x" in td and "y" in td:
-            target = PointTarget(x=float(td["x"]), y=float(td["y"]))
-        elif "phi_ko_deg" in td and "r2" in td:
-            if surface is None:
-                raise ValueError("polar target parameterization needs a surface")
-            target = target_from_prp(surface, float(td["phi_ko_deg"]),
-                                     float(td["r2"]))
-        else:
-            raise ValueError("target needs {x, y} or {phi_ko_deg, r2}")
-
-    sn = doc.get("snr", {})
-    snr = SnrSpec(surface_snr_db=float(sn.get("surface_db", 30.0)),
-                  target_snr_db=float(sn.get("target_db", 50.0)))
-
+    classes = [c.value for c in SceneClass]
     if "scene_class" in doc:
+        if doc["scene_class"] not in classes:
+            raise ValueError(f"scene 'scene_class' must be one of {classes}")
         scene_class = SceneClass(doc["scene_class"])
     elif surface is None:
         scene_class = SceneClass.LOS_NO_SURFACE
@@ -387,5 +390,8 @@ def scenario_from_doc(doc: dict) -> ScenarioSpec:
     else:
         scene_class = SceneClass.LOS_SURFACE_MP
 
-    return ScenarioSpec(radar=radar, surface=surface, target=target, snr=snr,
-                        scene_class=scene_class, seed=int(doc.get("seed", 0)))
+    seed = {"seed": read_value("scene", "seed", doc["seed"])} \
+        if "seed" in doc else {}
+    return ScenarioSpec(radar=build_section(doc, "radar"), surface=surface,
+                        target=target, snr=build_section(doc, "snr"),
+                        scene_class=scene_class, **seed)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from nlosradar import SceneClass, SnrSpec, randomize_scenario, save_scenario
+from nlosradar import (SceneClass, SnrSpec, cli, harness, randomize_scenario,
+                       save_scenario)
 from nlosradar.cli import _sweep_spec, build_parser, main
 
 
@@ -43,6 +44,27 @@ def test_masks(tmp_path, scene_file):
     code = main(["masks", "--scene", str(scene_file), "--out-dir", str(out)])
     assert code == 0
     assert (out / "masks.pgm").exists()
+
+
+def test_masks_synthesizes_and_forms_the_detection_map_once(
+        tmp_path, scene_file, monkeypatch):
+    """One masks run synthesizes its frame once and forms its detection map
+    once (Stage I's own maps are formed in surface.py and not counted)."""
+    calls = {"synthesize": 0, "compute_ra_map": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, harness):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert main(["masks", "--scene", str(scene_file),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"synthesize": 1, "compute_ra_map": 1}
+    assert (tmp_path / "masks.pgm").exists()
 
 
 def test_sweep_family(tmp_path):
@@ -124,6 +146,49 @@ def test_wrongly_typed_sweep_spec_is_config_error(tmp_path, capsys, key, value):
     path.write_text(json.dumps(doc))
     assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def test_identification_spec_sweeping_another_variable_is_config_error(
+        tmp_path, capsys):
+    """An identification sweep varies only delta_snr; a spec asking it to
+    sweep theta_w would silently run delta_snr values instead."""
+    doc = {"name": "custom", "swept": "theta_w", "grid": [5, 45],
+           "trials_per_point": 1, "mode": "identification", "base_scene": {}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'mode'" in err and "'swept'" in err
+    assert not (tmp_path / "sweep_custom.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("surface", "x", None), (None, "seed", None), ("target", "r2", [1]),
+    ("radar", "element_spacing", "a"), ("radar", "num_tx", None),
+    ("surface", "length", "8"), ("surface", "length", True),
+    (None, "seed", 1.5), (None, "seed", "3"), ("radar", "num_rx", 16.7),
+    ("surface", "x", float("nan")), ("surface", "length", float("nan")),
+    ("snr", "target_db", 1e308), ("surface", "length", 1e308),
+    ("radar", "carrier_wavelength", 0.0), ("radar", "element_spacing", -1.0)])
+def test_malformed_scene_value_is_config_error_naming_it(
+        tmp_path, capsys, section, key, value):
+    """Each of these once ran to a traceback, ran on a truncated or
+    converted value, or failed naming no key; each now exits 2 before any
+    work, naming its key or, where the section's dataclass refuses the
+    value, its section."""
+    doc = {"radar": {"num_rx": 16, "num_tx": 1},
+           "surface": {"x": 2.0, "y": 18.0, "length": 8.0, "theta_deg": 25.0},
+           "target": {"phi_ko_deg": 6.3, "r2": 11.9},
+           "snr": {"surface_db": 30.0, "target_db": 50.0}, "scene_class": "nlos"}
+    (doc[section] if section else doc)[key] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--scene", str(path), "--out-dir", str(out),
+                 "--export", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err or f"'{section}'" in err, err
+    assert not out.exists()
 
 
 def test_missing_scene_is_config_error(tmp_path):

@@ -15,6 +15,7 @@ from nlosradar import (
     occludes,
     solve_prp,
 )
+from nlosradar.geometry import MAX_SURFACE_POINTS
 
 
 def test_radar_config_derived_quantities(radar):
@@ -34,6 +35,17 @@ def test_radar_config_validation():
     for fov in (-5.0, 0.0, 90.5, 120.0, float("nan")):
         with pytest.raises(ValueError, match="fov_half_angle_deg"):
             RadarConfig(fov_half_angle_deg=fov)
+    # the steering phase divides by the wavelength; a negative spacing
+    # would mirror the angle axis
+    for value in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="carrier_wavelength"):
+            RadarConfig(carrier_wavelength=value)
+        with pytest.raises(ValueError, match="element_spacing"):
+            RadarConfig(element_spacing=value)
+    # a bandwidth whose range bin rounds to zero or to infinity
+    for bandwidth in (1e308, 1e-300, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth_hz"):
+            RadarConfig(bandwidth_hz=bandwidth)
 
 
 def test_radar_config_rejects_frames_larger_than_cancellation():
@@ -60,6 +72,16 @@ def test_surface_validation():
     with pytest.raises(ValueError):
         ReflectiveSurface(0, 10, length=4, orientation_deg=10,
                           backscatter_ratio=1.5)
+
+
+def test_discretize_rejects_a_wall_too_long_to_sample(radar):
+    """A wall of more than MAX_SURFACE_POINTS points is refused before its
+    points are allocated; only lengths that allocate nothing are tried."""
+    step = radar.range_bin_m / 2.0
+    for length in ((MAX_SURFACE_POINTS + 1) * step, 1e300, 1e308):
+        surf = ReflectiveSurface(0.0, 10.0, length=length, orientation_deg=0.0)
+        with pytest.raises(ValueError, match="'length'"):
+            discretize_surface(surf, radar)
 
 
 def test_support_line_intercept(far_surface):

@@ -336,6 +336,11 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(name="x", swept="delta_snr", grid=(1.0,), trials_per_point=1,
                   base_scene={}, mode="other")
+    # an identification sweep randomizes geometry and sweeps only delta_snr
+    for swept in ("theta_w", "sigma_x"):
+        with pytest.raises(ValueError, match="'mode'.*'swept'"):
+            SweepSpec(name="x", swept=swept, grid=(5.0, 45.0),
+                      trials_per_point=1, base_scene={}, mode="identification")
     # a list grid (as a JSON spec gives it) is kept as a tuple; numpy
     # numbers are numbers
     sweep = SweepSpec(name="x", swept="delta_snr", grid=[1, np.float64(2.5)],
@@ -348,7 +353,9 @@ def test_sweep_spec_validation():
     ("grid", 5), ("grid", ["a"]), ("grid", [True]), ("grid", "12"),
     ("grid", {1.0: 2.0}), ("trials_per_point", 2.5),
     ("trials_per_point", "2"), ("trials_per_point", True), ("seed", "x"),
-    ("seed", 1.5), ("seed", None), ("base_scene", 5), ("base_scene", [])])
+    ("seed", 1.5), ("seed", None), ("base_scene", 5), ("base_scene", []),
+    ("grid", [float("nan")]), ("grid", [float("inf")]), ("seed", -1),
+    ("trials_per_point", -2), ("swept", ["delta_snr"]), ("mode", None)])
 def test_sweep_spec_rejects_wrongly_typed_values(key, value):
     """The library rejects a wrongly typed grid, trial count, seed or base
     scene with a ValueError naming the field, as the CLI does for a spec
@@ -358,6 +365,44 @@ def test_sweep_spec_rejects_wrongly_typed_values(key, value):
     kwargs[key] = value
     with pytest.raises(ValueError, match=repr(key)):
         SweepSpec(**kwargs)
+
+
+@pytest.mark.parametrize("mode, swept, base_scene, message", [
+    ("fixed", "theta_w", {"snr": {}}, "'base_scene' has no 'surface'"),
+    ("fixed", "delta_snr", {"target": {"x": 0.0, "y": 9.0}},
+     "'base_scene' has no 'snr'"),
+    ("fixed", "delta_snr", {"snr": {"surface_db": "30"}}, "'surface_db'"),
+    ("fixed", "d_w", {"surface": {"x": 2.0, "length": 8.0}},
+     "missing key 'y', missing key 'theta_deg'"),
+    ("identification", "delta_snr", {"surface": {"sigma_x": -0.1}},
+     "irregularity sigma must be non-negative"),
+    ("identification", "delta_snr", {"surface": {"sigma": 0.1}},
+     "unknown key 'sigma'")])
+def test_run_sweep_rejects_a_malformed_base_scene(mode, swept, base_scene,
+                                                  message):
+    """A base scene that lacks the swept section, or holds a value the
+    scene reader refuses, is a ValueError naming the grid value and the
+    key, raised before any trial runs."""
+    sweep = SweepSpec(name="x", swept=swept, grid=(7.0,), trials_per_point=1,
+                      base_scene=base_scene, mode=mode)
+    with pytest.raises(ValueError, match="'grid' value 7.0: .*" + message):
+        run_sweep(sweep)
+
+
+def test_run_sweep_names_a_grid_value_the_scene_cannot_take():
+    sweep = sweep_delta_snr(grid=(20.0, 1e308), trials_per_point=1)
+    with pytest.raises(ValueError, match="'grid' value 1e[+]308: .*300 dB"):
+        run_sweep(sweep)
+
+
+def test_identification_sweep_reads_a_partial_surface():
+    """An identification base scene may carry only the wall roughness."""
+    sweep = sweep_identification(grid=(20.0,), trials_per_point=2, seed=3)
+    _, (plain,) = run_sweep(sweep, keep_records=True)
+    _, (rough,) = run_sweep(dataclasses.replace(sweep, base_scene={
+        **sweep.base_scene, "surface": {"sigma_x": 0.2}}), keep_records=True)
+    assert [r.truth_surface for r in rough] == [r.truth_surface for r in plain]
+    assert [_comparable(r) for r in rough] != [_comparable(r) for r in plain]
 
 
 def _comparable(record):

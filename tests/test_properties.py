@@ -1,12 +1,20 @@
 """Property tests: the two-bounce geometry round trip and the LOS/NLOS masks
-against an independent oracle, on walls and targets drawn by hypothesis.
+against an independent oracle, on walls and targets drawn by hypothesis, and
+the command line on malformed scene files and sweep specs.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
 """
 
+import contextlib
+import copy
 import functools
+import io
+import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -22,8 +30,12 @@ from nlosradar import (
     ground_truth_target,
     polar_to_xy,
     range_to_prp,
+    reference_scene_doc,
+    save_scenario,
+    scenario_from_doc,
     solve_prp,
 )
+from nlosradar.cli import main
 
 from conftest import brute_force_label
 
@@ -88,3 +100,72 @@ def test_region_matches_brute_force(surf, guard_m, cells):
         assert masks.union[i, j] == (expected != "guard"), (surf, cell)
         if expected != "guard":
             assert masks.region(i, j).name.lower() == expected, (surf, cell)
+
+
+@functools.cache
+def _reference_documents():
+    """The reference scene as a scene file holds it (every section, a
+    Cartesian target) and with its polar target, and one-trial fixed and
+    identification sweep specs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        save_scenario(scenario_from_doc(reference_scene_doc()), path)
+        saved = json.loads(path.read_text())
+    polar = dict(saved, target=reference_scene_doc()["target"])
+    sweep = {"name": "t", "swept": "delta_snr", "grid": [20.0],
+             "trials_per_point": 1, "mode": "fixed", "seed": 0,
+             "base_scene": reference_scene_doc()}
+    identification = dict(sweep, mode="identification")
+    return {"scene": saved, "polar": polar, "sweep": sweep,
+            "identification": identification}
+
+
+_BAD_VALUES = (None, "8", True, [1.0], {}, math.nan, math.inf, -math.inf,
+               1e15, -1e15, -1.0, 0)
+
+
+def _paths(doc, prefix=()):
+    """Every key path in ``doc``, into nested objects and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_malformed_input_is_a_config_error_naming_its_key(tmp_path_factory,
+                                                          data):
+    """A scene file or sweep spec with one value replaced by a null, a
+    string, a bool, a list, an object, NaN, an infinity, a huge or a
+    non-positive number, with one key deleted or with an unknown key added,
+    exits 0, 2 or 3 and never raises; a configuration error (exit 2) names
+    the key it broke or the section holding it."""
+    documents = _reference_documents()
+    which = data.draw(st.sampled_from(sorted(documents)))
+    doc = copy.deepcopy(documents[which])
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    *parents, key = path
+    holder = functools.reduce(lambda d, k: d[k], parents, doc)
+    action = data.draw(st.sampled_from(("set", "delete", "add")))
+    if action == "set":
+        holder[key] = data.draw(st.sampled_from(_BAD_VALUES))
+    elif action == "delete" or isinstance(holder, list):
+        del holder[key]
+    else:
+        holder["bogus"], key = 1.0, "bogus"
+
+    out = tmp_path_factory.mktemp("input")
+    file = out / "input.json"
+    file.write_text(json.dumps(doc))
+    option = "--scene" if which in ("scene", "polar") else "--spec"
+    command = "pipeline" if option == "--scene" else "sweep"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, option, str(file), "--out-dir", str(out)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        names = [k for k in (*parents, key) if isinstance(k, str)]
+        assert any(re.search(rf"\b{name}\b", err.getvalue())
+                   for name in names), err.getvalue()

@@ -16,6 +16,8 @@ from nlosradar import (
     load_scenario,
     occludes,
     randomize_scenario,
+    reference_scene_doc,
+    run_trial,
     save_scenario,
     scenario_from_doc,
     solve_prp,
@@ -228,3 +230,74 @@ def test_phi_draw_within_surface_extent():
                        math.degrees(math.atan2(b[0], b[1]))])
         prp = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy)
         assert phis[0] - 1e-6 <= prp.angle_deg <= phis[1] + 1e-6
+
+
+def test_snr_spec_defaults_and_range():
+    """SnrSpec's defaults are the scene file's, and it refuses a level the
+    synthesizer cannot honour: beyond +-300 dB 10**(SNR/10) nears float64's
+    range (1e308 dB overflowed, 3,080 dB gave NaN maps).  At the bounds a
+    trial runs clean, with every warning an error."""
+    assert SnrSpec() == SnrSpec(30.0, 50.0)
+    for bad in (300.5, -301.0, 3080.0, 1e308, math.inf, -math.inf, math.nan):
+        for args in ((bad, 50.0), (30.0, bad)):
+            with pytest.raises(ValueError, match="300 dB"):
+                SnrSpec(*args)
+    for levels in ((-300.0, 300.0), (300.0, -300.0)):
+        assert run_trial(scenario_from_doc(reference_scene_doc(*levels))).ok
+
+
+def test_scene_doc_defaults_are_the_dataclass_defaults():
+    spec = scenario_from_doc({"target": {"x": 0.0, "y": 10.0}})
+    assert (spec.radar, spec.snr, spec.seed) == (RadarConfig(), SnrSpec(), 0)
+    spec = scenario_from_doc({"surface": {"x": 2.0, "y": 18.0, "length": 8.0,
+                                          "theta_deg": 25.0},
+                              "target": {"x": 8.0, "y": 5.0}})
+    assert spec.surface == ReflectiveSurface(2.0, 18.0, 8.0, 25.0)
+
+
+_SCENE = {"radar": {"num_rx": 16, "num_tx": 1},
+          "surface": {"x": 2.0, "y": 18.0, "length": 8.0, "theta_deg": 25.0},
+          "target": {"phi_ko_deg": 6.3, "r2": 11.9},
+          "snr": {"surface_db": 30.0, "target_db": 50.0},
+          "scene_class": "nlos", "seed": 0}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("surface", "x", None), (None, "seed", None), ("target", "r2", [1]),
+    ("radar", "element_spacing", "a"), ("radar", "num_tx", None),
+    ("surface", "length", "8"), ("surface", "length", True),
+    (None, "seed", 1.5), (None, "seed", "3"), (None, "seed", -1),
+    ("radar", "num_rx", 16.7), ("radar", "num_rx", 16.0),
+    ("surface", "x", math.nan), ("surface", "length", math.nan),
+    ("surface", "sigma_x", math.inf), ("snr", "target_db", -math.inf),
+    pytest.param("surface", "y", 10**400, id="surface-y-int_beyond_float"),
+    ("target", "phi_ko_deg", False),
+    ("surface", "colour", 1.0), (None, "sede", 1), ("snr", "target_db", 1e308),
+    ("radar", "carrier_wavelength", 0.0), ("radar", "element_spacing", -1.0),
+    (None, "scene_class", "wall"), (None, "scene_class", [1])])
+def test_scene_doc_rejects_a_malformed_value_naming_its_key(section, key, value):
+    """Every scene value is a finite number, never a bool, and an integer
+    for a count or a seed; unknown keys are refused.  Each failure is a
+    ValueError naming the key, or, for a value the section's own dataclass
+    refuses, its section."""
+    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in _SCENE.items()}
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(ValueError, match=f"'{key}'|scene '{section}':"):
+        scenario_from_doc(doc)
+
+
+def test_scene_doc_section_contradicting_its_class_is_rejected():
+    """A declared class whose surface or target is missing is refused on
+    reading; synthesis would otherwise fail on the missing wall."""
+    with pytest.raises(ValueError, match="'surface'"):
+        scenario_from_doc({"target": {"x": 0.0, "y": 25.0}, "scene_class": "nlos"})
+    with pytest.raises(ValueError, match="'target'"):
+        scenario_from_doc({"surface": _SCENE["surface"],
+                           "scene_class": "los_with_surface_mp"})
+
+
+def test_randomize_scenario_lets_a_bad_argument_through():
+    """Only a GeometryError is redrawn; a ValueError from an argument no
+    draw can fix is raised at once, not after 1000 attempts."""
+    with pytest.raises(ValueError, match="irregularity sigma must be non-negative"):
+        randomize_scenario(SceneClass.NLOS, 0, sigma_x=-0.1)
