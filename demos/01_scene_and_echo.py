@@ -33,7 +33,7 @@ echo = nr.synthesize(spec, keep_components=True)
 print(f"\nraw frame: {echo.samples.shape}, components: "
       f"{sorted(echo.components)}")
 
-ra = nr.compute_ra_map(echo, radar)
+ra = nr.compute_ra_map(echo.samples, radar)
 i, j = np.unravel_index(np.argmax(ra.magnitude), ra.magnitude.shape)
 print(f"map argmax: {ra.range_axis_m[i]:.2f} m @ {ra.angle_axis_deg[j]:.2f} "
       f"deg  (the two-bounce return, NOT the physical target position)")

@@ -21,7 +21,7 @@ spec = nr.ScenarioSpec(radar=radar, surface=wall, target=target,
 
 # --- the stages, spelled out -------------------------------------------
 echo = nr.synthesize(spec)
-ra = nr.compute_ra_map(echo, radar)
+ra = nr.compute_ra_map(echo.samples, radar)
 
 # the target return is 30 dB above the wall here; Stage I first cancels
 # the dominant point returns before hunting for the wall ridge, and tapers

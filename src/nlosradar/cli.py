@@ -22,6 +22,7 @@ from . import harness
 from .classify import build_masks, write_masks_pgm
 from .echo import OutOfWindowError, synthesize, write_echo
 from .geometry import GeometryError
+from .localize import LocalizationResult
 from .plotting import write_line_chart
 from .ramap import compute_ra_map, write_magnitude_csv, write_map_binary
 from .scenario import check_keys, load_scenario
@@ -43,17 +44,34 @@ def _exports(accepted: tuple[str, ...], text: str) -> frozenset[str]:
     return names
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+def _integer(least: int, text: str) -> int:
+    """An integer option of at least ``least``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least {least}, not {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """``--max-failures``: a fraction of the trials, in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, 1], not {text!r}")
     return value
 
 
 def _add_common(p, exports: tuple[str, ...]):
     """The options every subcommand takes; ``exports`` are the names it
     writes, the first the default."""
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=functools.partial(_integer, 0), default=None,
                    help="override the scene/master seed")
     p.add_argument("--out-dir", type=Path, default=Path("."),
                    help="output directory (created if missing)")
@@ -76,10 +94,10 @@ def _cmd_simulate(args) -> int:
     write_echo(args.out_dir / "echo.bin", echo, spec.radar, seed=spec.seed,
                metadata={"scene_class": spec.scene_class.value})
     if "csv" in args.export:
-        write_magnitude_csv(compute_ra_map(echo, spec.radar),
+        write_magnitude_csv(compute_ra_map(echo.samples, spec.radar),
                             args.out_dir / "ra_map.csv")
     if "bin" in args.export:
-        write_map_binary(echo, spec.radar, args.out_dir / "ra_map.bin",
+        write_map_binary(echo.samples, spec.radar, args.out_dir / "ra_map.bin",
                          seed=spec.seed)
     print(f"wrote {args.out_dir / 'echo.bin'}")
     return 0
@@ -105,10 +123,9 @@ def _cmd_pipeline(args) -> int:
     if "csv" in args.export:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         out = args.out_dir / "trial.csv"
-        header = "hypothesis,x,y,r_radar_prp,r_prp_target,phi_ko_deg,feasible"
-        row = loc.to_csv_row()
+        header, row = LocalizationResult.CSV_HEADER, loc.to_csv_row()
         if record.truth_target is not None:
-            header += ",truth_x,truth_y,error_m"
+            header += LocalizationResult.TRUTH_CSV_HEADER
             row += (f",{record.truth_target[0]:.6f}"
                     f",{record.truth_target[1]:.6f},{record.error_d:.6f}")
         out.write_text(header + "\n" + row + "\n", encoding="utf-8")
@@ -171,7 +188,7 @@ def _cmd_masks(args) -> int:
     try:
         echo = synthesize(spec,
                           ghost_suppression_db=options.ghost_suppression_db)
-        ra_map = compute_ra_map(echo, spec.radar)
+        ra_map = compute_ra_map(echo.samples, spec.radar)
         estimate, _ = detect_surface(
             echo.samples, spec.radar, harness.default_k(spec), lambda: ra_map,
             seed=spec.seed, min_length=options.min_length)
@@ -210,11 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", type=Path, help="sweep spec JSON file")
     group.add_argument("--family", choices=sorted(harness.SWEEP_FAMILIES),
                        help="named built-in experiment family")
-    p_sweep.add_argument("--trials", type=int, default=None,
-                         help="trials per grid point")
-    p_sweep.add_argument("--workers", type=_positive_int, default=1,
+    p_sweep.add_argument("--trials", type=functools.partial(_integer, 1),
+                         default=None, help="trials per grid point")
+    p_sweep.add_argument("--workers", type=functools.partial(_integer, 1),
+                         default=1,
                          help="trials run at once, each on up to two threads")
-    p_sweep.add_argument("--max-failures", type=float, default=0.1,
+    p_sweep.add_argument("--max-failures", type=_fraction, default=0.1,
                          help="tolerated trial-failure fraction before exit 3")
     _add_common(p_sweep, ("csv", "svg"))
     p_sweep.set_defaults(fn=_cmd_sweep)

@@ -103,20 +103,13 @@ class RadarEcho:
     components: dict[str, np.ndarray] | None = None
 
 
-def steering_vector(angle_deg: float, num_elements: int, spacing: float,
+def steering_vector(angle_deg, num_elements: int, spacing: float,
                     wavelength: float) -> np.ndarray:
-    """ULA steering vector; element m carries phase 2*pi*(m*d/lambda)*sin(angle)."""
-    u = math.sin(math.radians(angle_deg))
-    m = np.arange(num_elements)
+    """ULA steering vector, (M,) for one bearing or (M, K) for K bearings;
+    element m carries phase 2*pi*(m*d/lambda)*sin(angle)."""
+    u = np.sin(np.radians(np.asarray(angle_deg, dtype=float)))
+    m = np.arange(num_elements).reshape((-1,) + (1,) * u.ndim)
     return np.exp(2j * np.pi * (m * spacing / wavelength) * u)
-
-
-def _steering_matrix(angles_deg: np.ndarray, radar: RadarConfig) -> np.ndarray:
-    """(M_r, K) matrix of receive steering vectors."""
-    u = np.sin(np.radians(np.asarray(angles_deg, dtype=float)))
-    m = np.arange(radar.num_rx)[:, None]
-    return np.exp(2j * np.pi * (radar.element_spacing / radar.carrier_wavelength)
-                  * m * u[None, :])
 
 
 def scattering_gain(incidence_angle_deg, scatter_direction_deg, theta_w_deg,
@@ -200,7 +193,8 @@ def synthesize_surface_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     weights = amplitude * draw.surface_coeffs * loss
     taus = 2.0 * reflectors.ranges / SPEED_OF_LIGHT
     beats = _beat(taus, waveform, radar.num_samples)       # (K, N)
-    steer = _steering_matrix(reflectors.angles_deg, radar)  # (M_r, K)
+    steer = steering_vector(reflectors.angles_deg, radar.num_rx,
+                            radar.element_spacing, radar.carrier_wavelength)
     return steer @ (weights[:, None] * beats)
 
 
@@ -269,7 +263,8 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     s = r_rk + r_kt
     taus = (s[:, None] + s[None, :]) / SPEED_OF_LIGHT
     beats = _beat(taus, waveform, radar.num_samples)        # (K, K, N)
-    steer = _steering_matrix(angles, radar)
+    steer = steering_vector(angles, radar.num_rx, radar.element_spacing,
+                            radar.carrier_wavelength)            # (M_r, K)
 
     leg = coeffs * leg_det
     pair_w = np.outer(leg, leg)                   # (K', K~) -> (k_out, k_in)
@@ -277,12 +272,11 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
 
     # expected peak power at the specular cell under unit-power draws:
     # sum of squared per-pair matched-filter responses
-    a_spec = steering_vector(prp.angle_deg, radar.num_rx,
-                             radar.element_spacing, radar.carrier_wavelength)
-    b_spec = _beat(np.array(2.0 * (prp.r_radar_prp + prp.r_prp_target)
-                            / SPEED_OF_LIGHT), waveform, radar.num_samples)
+    a_spec, b_spec = _point_return(prp.r_radar_prp + prp.r_prp_target,
+                                   prp.angle_deg, radar, waveform,
+                                   (radar.num_rx, radar.num_samples))
     angle_resp = np.conj(a_spec) @ steer                     # (K~,)
-    range_resp = np.einsum("abn,n->ab", beats, np.conj(b_spec.ravel()))
+    range_resp = np.einsum("abn,n->ab", beats, np.conj(b_spec))
     pair_resp = np.outer(leg_det, leg_det) * range_resp * angle_resp[None, :]
     agg = math.sqrt(float(np.sum(np.abs(pair_resp) ** 2)))
     agg /= radar.num_rx * radar.num_samples
@@ -298,10 +292,20 @@ def synthesize_direct_echo(target_xy, radar: RadarConfig,
     r, ang = xy_to_polar(target_xy)
     if r >= radar.max_range_m:
         raise OutOfWindowError("target beyond the unambiguous range")
-    beat = _beat(np.array(2.0 * r / SPEED_OF_LIGHT), waveform, radar.num_samples)
-    steer = steering_vector(ang, radar.num_rx, radar.element_spacing,
-                            radar.carrier_wavelength)
+    steer, beat = _point_return(r, ang, radar, waveform,
+                                (radar.num_rx, radar.num_samples))
     return amplitude * coeff * np.outer(steer, beat)
+
+
+def _point_return(range_m: float, angle_deg: float, radar: RadarConfig,
+                  waveform: WaveformConfig, shape: tuple[int, int]):
+    """Steering (M_r,) and beat (N,) factors of a point return in an
+    (M_r, N) frame, whose response is their outer product; cancellation
+    subtracts exactly the response synthesis adds."""
+    m_r, n = shape
+    steer = steering_vector(angle_deg, m_r, radar.element_spacing,
+                            radar.carrier_wavelength)
+    return steer, _beat(np.array(2.0 * range_m / SPEED_OF_LIGHT), waveform, n)
 
 
 def _noise(radar: RadarConfig, variance: float, rng: np.random.Generator) -> np.ndarray:
@@ -484,10 +488,9 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
         u = (p - pad // 2) / (pad * du)
         if abs(u) > 1.0:
             break
-        r = q * radar.max_range_m / pad
-        a = steering_vector(math.degrees(math.asin(u)), m_r,
-                            radar.element_spacing, radar.carrier_wavelength)
-        b = _beat(np.array(2.0 * r / SPEED_OF_LIGHT), waveform, n).ravel()
+        a, b = _point_return(q * radar.max_range_m / pad,
+                             math.degrees(math.asin(u)), radar, waveform,
+                             samples.shape)
         sig = np.outer(a, b)
         amp = np.vdot(sig, work) / (m_r * n)
         work -= amp * sig
@@ -588,37 +591,43 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# binary echo export: 32-byte little-endian header + row-major complex64
+# binary exports of the echo and the map: 32-byte little-endian header +
+# row-major complex64, and a JSON sidecar
 
-_MAGIC = b"NLRE"
-_HEADER = struct.Struct("<4sHHIIdQ")     # magic, version, pad, M_r, N, dr, seed
+_HEADER = struct.Struct("<4sHHIIdQ")  # magic, version, pad, rows, cols, step, seed
 _VERSION = 1
+_ECHO_MAGIC = b"NLRE"
+
+
+def _write_binary(path, magic: bytes, data: np.ndarray, step_m: float,
+                  seed: int, sidecar: dict) -> None:
+    """``data`` under the header to ``path``, ``sidecar`` to ``path + '.json'``;
+    ``step_m`` is the meters between adjacent rows."""
+    rows, cols = data.shape
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(magic, _VERSION, 0, rows, cols, step_m,
+                             seed & 0xFFFFFFFFFFFFFFFF))
+        f.write(data.astype(np.complex64).tobytes())
+    with open(str(path) + ".json", "w", encoding="utf-8") as f:
+        json.dump(sidecar, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_echo(path, echo: RadarEcho, radar: RadarConfig, seed: int = 0,
                metadata: dict | None = None) -> None:
     """Dump a frame to ``path`` and a JSON sidecar to ``path + '.json'``."""
     m_r, n = echo.samples.shape
-    header = _HEADER.pack(_MAGIC, _VERSION, 0, m_r, n, radar.range_bin_m,
-                          seed & 0xFFFFFFFFFFFFFFFF)
-    assert len(header) == 32
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(echo.samples.astype(np.complex64)).tobytes())
     side = {"num_rx": m_r, "num_samples": n, "range_bin_m": radar.range_bin_m,
             "seed": seed, "dtype": "complex64", "layout": "row-major"}
-    if metadata:
-        side.update(metadata)
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump(side, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_binary(path, _ECHO_MAGIC, echo.samples, radar.range_bin_m, seed,
+                  side | (metadata or {}))
 
 
 def read_echo(path) -> tuple[np.ndarray, dict]:
     """Load a frame written by write_echo; returns (samples, header fields)."""
     with open(path, "rb") as f:
         magic, version, _, m_r, n, dr, seed = _HEADER.unpack(f.read(32))
-        if magic != _MAGIC:
+        if magic != _ECHO_MAGIC:
             raise ValueError("not an echo file (bad magic)")
         data = np.frombuffer(f.read(), dtype=np.complex64).reshape(m_r, n)
     return data, {"version": version, "num_rx": m_r, "num_samples": n,

@@ -82,6 +82,11 @@ class RadarConfig:
             object.__setattr__(self, "element_spacing", self.carrier_wavelength / 2.0)
         if not (self.carrier_wavelength > 0 and self.element_spacing > 0):
             raise ValueError("need carrier_wavelength > 0, element_spacing > 0")
+        # the phase per element, 2*pi*d/lambda, and the map's columns per
+        # unit of sin(angle), 512*d/lambda, stay finite and nonzero
+        if not 1e-3 <= self.element_spacing / self.carrier_wavelength <= 1e3:
+            raise ValueError("need element_spacing / carrier_wavelength "
+                             "within [1e-3, 1e3]")
 
     @property
     def range_bin_m(self) -> float:

@@ -47,6 +47,14 @@ class PipelineOptions:
     min_length: float = 1.0
     ghost_suppression_db: float = 15.0
 
+    def __post_init__(self):
+        for key, ok, kind in (("guard_m", self.guard_m >= 0, " >= 0"),
+                              ("min_length", self.min_length > 0, " > 0"),
+                              ("ghost_suppression_db", True, "")):
+            if not (ok and math.isfinite(getattr(self, key))):
+                raise ValueError(f"pipeline option {key!r} must be a finite "
+                                 f"number{kind}, not {getattr(self, key)!r}")
+
 
 def default_k(spec: ScenarioSpec) -> int:
     """``run_trial``'s Stage I peak budget: the range cells the true wall
@@ -120,7 +128,8 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
                           ghost_suppression_db=options.ghost_suppression_db)
         t1 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=1) as helper:
-            detection = helper.submit(_timed, compute_ra_map, echo, spec.radar)
+            detection = helper.submit(_timed, compute_ra_map, echo.samples,
+                                      spec.radar)
             estimate, record.stage1_rung = detect_surface(
                 echo.samples, spec.radar, default_k(spec),
                 lambda: detection.result()[0], seed=spec.seed,
@@ -218,6 +227,11 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the CLI writes sweep_<name>.csv, so the name is one path component
+        if not (isinstance(self.name, str) and self.name
+                and not any(c in self.name for c in "/\\\0")):
+            raise ValueError("'name' must be a non-empty string without '/', "
+                             f"'\\' or NUL, not {self.name!r}")
         if not isinstance(self.swept, str) or self.swept not in SWEPT_VARIABLES:
             raise ValueError(f"'swept' must be one of {tuple(SWEPT_VARIABLES)}, "
                              f"not {self.swept!r}")

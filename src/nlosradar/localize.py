@@ -42,6 +42,10 @@ class LocalizationResult:
     r_prp_target: float | None = None
     phi_ko_deg: float | None = None
 
+    # to_csv_row's columns, and those a trial with a known target appends
+    CSV_HEADER = "hypothesis,x,y,r_radar_prp,r_prp_target,phi_ko_deg,feasible"
+    TRUTH_CSV_HEADER = ",truth_x,truth_y,error_m"
+
     def to_csv_row(self) -> str:
         def num(v):
             return "" if v is None else f"{v:.6f}"

@@ -14,15 +14,13 @@ Rows index range, columns index angle.  The angle axis is arcsine spaced.
 
 from __future__ import annotations
 
-import json
-import struct
 from concurrent.futures import Executor
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .echo import RadarEcho, _channel_spectrum, _median, _range_angle
+from .echo import _channel_spectrum, _median, _range_angle, _write_binary
 from .geometry import RadarConfig
 
 MAP_SIZE = 512
@@ -104,7 +102,7 @@ class RangeAngleMap:
         return np.broadcast_to(ok, self.magnitude.shape)
 
 
-def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
+def compute_ra_map(samples: np.ndarray, radar: RadarConfig,
                    window: str | None = None,
                    helper: Executor | None = None) -> RangeAngleMap:
     """Zero pad the frame to 512 x 512 and apply the calibrated 2D transform.
@@ -134,7 +132,6 @@ def compute_ra_map(echo: RadarEcho | np.ndarray, radar: RadarConfig,
     (powers of two) is skipped, so the map is bit-identical to the unpruned
     transform, with or without a helper.
     """
-    samples = echo.samples if isinstance(echo, RadarEcho) else np.asarray(echo)
     m_r, n = samples.shape
     if window in ("hann", "hann2d"):
         # nonzero-endpoint taper: every channel keeps some weight
@@ -295,10 +292,6 @@ def refine_peak_quadratic(ra_map: RangeAngleMap, range_bin: int,
 # ---------------------------------------------------------------------------
 # exports
 
-_MAGIC = b"NLRM"
-_HEADER = struct.Struct("<4sHHIIdQ")
-_VERSION = 1
-
 
 def write_magnitude_csv(ra_map: RangeAngleMap, path) -> None:
     """Magnitudes as CSV, one row per range bin."""
@@ -308,20 +301,12 @@ def write_magnitude_csv(ra_map: RangeAngleMap, path) -> None:
             f.write("\n")
 
 
-def write_map_binary(echo: RadarEcho | np.ndarray, radar: RadarConfig, path,
+def write_map_binary(samples: np.ndarray, radar: RadarConfig, path,
                      seed: int = 0) -> None:
     """Untapered complex map of a frame (``echo._range_angle``), range-major,
-    mirroring the echo binary layout, plus JSON sidecar."""
-    samples = echo.samples if isinstance(echo, RadarEcho) else np.asarray(echo)
-    complex_map = _range_angle(samples, MAP_SIZE).T
+    in the echo binary layout (``echo._write_binary``), plus JSON sidecar."""
     step = radar.max_range_m / MAP_SIZE
-    header = _HEADER.pack(_MAGIC, _VERSION, 0, MAP_SIZE, MAP_SIZE, step,
-                          seed & 0xFFFFFFFFFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(complex_map.astype(np.complex64)).tobytes())
     side = {"rows": "range", "cols": "angle", "size": MAP_SIZE,
             "range_step_m": step, "seed": seed}
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump(side, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_binary(path, b"NLRM", _range_angle(samples, MAP_SIZE).T, step, seed,
+                  side)

@@ -87,9 +87,34 @@ class ScenarioSpec:
                              f"{'needs a' if walled else 'has no'} 'surface'")
         if self.target is None and self.scene_class is not SceneClass.LOS_SURFACE_NO_MP:
             raise ValueError(f"a {self.scene_class.value} scene needs a 'target'")
+        _check_extents(self.radar, {
+            name: _document(getattr(self, name), name)
+            for name in _METER_KEYS if getattr(self, name) is not None})
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
+
+
+# The scene keys in meters.  None may reach beyond _EXTENT range windows of
+# the radar: nothing there returns within the window, and squares of values
+# near float64's range overflow in the geometry.
+_METER_KEYS = {"surface": ("x", "y", "length", "sigma_x"),
+               "target": ("x", "y", "r2")}
+_EXTENT = 1000
+
+
+def _check_extents(radar: RadarConfig, sections: dict) -> None:
+    """A ValueError naming the section and key of a value in meters in
+    ``sections`` ({section: {document key: value}}) beyond _EXTENT range
+    windows of ``radar``."""
+    limit = _EXTENT * radar.max_range_m
+    for name, values in sections.items():
+        for key in _METER_KEYS[name]:
+            if key in values and not abs(values[key]) <= limit:
+                raise ValueError(
+                    f"scene {name!r} {key!r} must lie within +-{limit:g} m, "
+                    f"{_EXTENT} times the range window num_samples * c / "
+                    f"(2 * bandwidth_hz), not {values[key]!r}")
 
 
 def target_from_prp(surface: ReflectiveSurface, phi_ko_deg: float,
@@ -321,6 +346,11 @@ def read_section(doc: dict, name: str, partial: bool = False) -> dict:
     return {k: read_value(name, k, v) for k, v in section.items()}
 
 
+def _document(part, name: str) -> dict:
+    """Section ``name``'s dataclass ``part`` as {document key: value}."""
+    return {k: getattr(part, f) for k, f in SECTIONS[name][1].items() if f}
+
+
 def build_section(doc: dict, name: str):
     """Scene section ``name`` as its dataclass; a ValueError from the
     dataclass's own checks names the section."""
@@ -335,10 +365,9 @@ def build_section(doc: dict, name: str):
 def save_scenario(spec: ScenarioSpec, path) -> None:
     """Write a scenario to a JSON scene file."""
     doc: dict = {"scene_class": spec.scene_class.value, "seed": spec.seed}
-    for name, (_, keys) in SECTIONS.items():
+    for name in SECTIONS:
         if getattr(spec, name) is not None:
-            doc[name] = {k: getattr(getattr(spec, name), f)
-                         for k, f in keys.items() if f}
+            doc[name] = _document(getattr(spec, name), name)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -364,6 +393,10 @@ def scenario_from_doc(doc: dict) -> ScenarioSpec:
         # the synthesizer has no transmitter dimension, so a file asking for
         # more transmitters would get a frame that misses its SNRs
         raise ValueError("only radar.num_tx = 1 is supported")
+    radar = build_section(doc, "radar")
+    # before the polar target and the class inference below compute with them
+    _check_extents(radar, {name: read_section(doc, name, partial=True)
+                          for name in _METER_KEYS})
     surface = build_section(doc, "surface") if "surface" in doc else None
     target, td = None, read_section(doc, "target", partial=True)
     if "x" in td and "y" in td:
@@ -392,6 +425,6 @@ def scenario_from_doc(doc: dict) -> ScenarioSpec:
 
     seed = {"seed": read_value("scene", "seed", doc["seed"])} \
         if "seed" in doc else {}
-    return ScenarioSpec(radar=build_section(doc, "radar"), surface=surface,
+    return ScenarioSpec(radar=radar, surface=surface,
                         target=target, snr=build_section(doc, "snr"),
                         scene_class=scene_class, **seed)

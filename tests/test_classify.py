@@ -219,7 +219,7 @@ def test_decide_no_surface_is_los(radar):
                         snr=SnrSpec(30.0, 45.0),
                         scene_class=SceneClass.LOS_NO_SURFACE, seed=1)
     echo = synthesize(spec)
-    m = compute_ra_map(echo, radar)
+    m = compute_ra_map(echo.samples, radar)
     dec = decide(SurfaceEstimate.not_detected(), m)
     assert dec.hypothesis is Hypothesis.LOS
     assert dec.peak_range_m == pytest.approx(12.0, abs=2 * radar.range_bin_m)
@@ -232,7 +232,7 @@ def test_decide_nlos_scene(radar, far_surface):
                         snr=SnrSpec(30.0, 60.0),
                         scene_class=SceneClass.NLOS, seed=5)
     echo = synthesize(spec, include_noise=False)
-    m = compute_ra_map(echo, radar)
+    m = compute_ra_map(echo.samples, radar)
     dec = decide(_estimate(far_surface), m, guard_m=1.0)
     assert dec.hypothesis is Hypothesis.NLOS
     assert dec.peak_range_m == pytest.approx(34.98, abs=1.0)
@@ -244,7 +244,7 @@ def test_decide_visible_target_with_surface(radar, eval_surface):
                         snr=SnrSpec(30.0, 60.0),
                         scene_class=SceneClass.LOS_SURFACE_NO_MP, seed=2)
     echo = synthesize(spec, include_noise=False)
-    dec = decide(_estimate(eval_surface), compute_ra_map(echo, radar))
+    dec = decide(_estimate(eval_surface), compute_ra_map(echo.samples, radar))
     assert dec.hypothesis is Hypothesis.LOS
 
 

@@ -169,7 +169,10 @@ def test_identification_spec_sweeping_another_variable_is_config_error(
     (None, "seed", 1.5), (None, "seed", "3"), ("radar", "num_rx", 16.7),
     ("surface", "x", float("nan")), ("surface", "length", float("nan")),
     ("snr", "target_db", 1e308), ("surface", "length", 1e308),
-    ("radar", "carrier_wavelength", 0.0), ("radar", "element_spacing", -1.0)])
+    ("radar", "carrier_wavelength", 0.0), ("radar", "element_spacing", -1.0),
+    ("surface", "x", 1e308), ("surface", "sigma_x", -1e308),
+    ("target", "r2", 1e308), ("radar", "element_spacing", 1e308),
+    ("radar", "carrier_wavelength", 5e-324)])
 def test_malformed_scene_value_is_config_error_naming_it(
         tmp_path, capsys, section, key, value):
     """Each of these once ran to a traceback, ran on a truncated or
@@ -242,3 +245,58 @@ def test_sweep_workers_below_one_is_config_error(tmp_path, capsys, workers):
     assert exit_.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+_SWEEP = ["sweep", "--family", "delta_snr"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["pipeline", "--seed", "-1"], "--seed"),
+    (["simulate", "--seed", "x"], "--seed"),
+    (["pipeline", "--guard-m", "-1"], "guard_m"),
+    (["pipeline", "--guard-m", "nan"], "guard_m"),
+    (_SWEEP + ["--max-failures", "nan"], "--max-failures"),
+    (_SWEEP + ["--max-failures", "-1"], "--max-failures"),
+    (_SWEEP + ["--max-failures", "1.5"], "--max-failures"),
+    (_SWEEP + ["--trials", "0"], "--trials"),
+    (_SWEEP + ["--seed", "-2"], "--seed")])
+def test_bad_option_value_is_config_error_naming_it(
+        tmp_path, scene_file, capsys, monkeypatch, argv, name):
+    """An option value the pipeline cannot take exits 2 before any trial
+    runs, naming the option: a negative seed once failed in numpy naming
+    none, a negative or NaN guard band ran to a wrong decision, and a NaN
+    or negative failure fraction turned the exit code into noise."""
+    monkeypatch.setattr(harness, "run_trial", _no_trial)
+    if argv[0] != "sweep":
+        argv = argv + ["--scene", str(scene_file)]
+    out = tmp_path / "out"
+    assert _exit_code(argv + ["--out-dir", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", None, "", "a\\b", 3])
+def test_sweep_spec_name_not_a_file_name_is_config_error(
+        tmp_path, capsys, monkeypatch, name):
+    """The CLI writes sweep_<name>.csv, so a name that is not one path
+    component is refused before any trial runs (``"a/b"`` once ran its
+    trials, then failed to open the CSV; a null wrote sweep_None.csv)."""
+    monkeypatch.setattr(harness, "run_trial", _no_trial)
+    doc = {"name": name, "swept": "delta_snr", "grid": [20.0],
+           "trials_per_point": 1, "base_scene": {}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "'name'" in capsys.readouterr().err

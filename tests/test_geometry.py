@@ -48,6 +48,17 @@ def test_radar_config_validation():
             RadarConfig(bandwidth_hz=bandwidth)
 
 
+def test_radar_config_bounds_the_spacing_to_wavelength_ratio():
+    """A spacing of 1e308 once ran with overflowing steering phases."""
+    for spacing in (1e308, 1001.0, 9e-4):
+        with pytest.raises(ValueError, match="element_spacing"):
+            RadarConfig(carrier_wavelength=1.0, element_spacing=spacing)
+    with pytest.raises(ValueError, match="carrier_wavelength"):
+        RadarConfig(carrier_wavelength=1e-300, element_spacing=1.0)
+    for spacing in (1e3, 1e-3):
+        RadarConfig(carrier_wavelength=1.0, element_spacing=spacing)
+
+
 def test_radar_config_rejects_frames_larger_than_cancellation():
     # point-return cancellation zero pads a frame to 256 x 256; a larger
     # frame would pass scene validation and synthesis, then fail every trial

@@ -125,7 +125,7 @@ def test_detect_surface_matches_run_trial(scene, rung):
     rec = run_trial(spec, PipelineOptions())
     echo = synthesize(spec)
     est, got = detect_surface(echo.samples, spec.radar, default_k(spec),
-                              lambda: compute_ra_map(echo, spec.radar),
+                              lambda: compute_ra_map(echo.samples, spec.radar),
                               seed=spec.seed)
     assert got == rec.stage1_rung == rung
     assert est == rec.estimate
@@ -178,7 +178,8 @@ def test_run_trial_truth_surface_noiseless():
     # and localized through the wall's specular geometry
     spec = scenario_from_doc(reference_scene_doc(30.0, 70.0)).with_seed(1)
     estimate = SurfaceEstimate.from_truth(spec.surface)
-    decision = decide(estimate, compute_ra_map(synthesize(spec), spec.radar))
+    decision = decide(estimate,
+                      compute_ra_map(synthesize(spec).samples, spec.radar))
     assert decision.hypothesis is Hypothesis.NLOS
     loc = localize(decision, estimate)
     assert loc.hypothesis is Hypothesis.NLOS and loc.feasible
@@ -347,6 +348,17 @@ def test_sweep_spec_validation():
                       trials_per_point=np.int64(2), base_scene={},
                       seed=np.int32(3))
     assert sweep.grid == (1, 2.5) and type(sweep.grid) is tuple
+
+
+@pytest.mark.parametrize("key, value", [
+    ("guard_m", -1.0), ("guard_m", math.nan), ("guard_m", math.inf),
+    ("min_length", 0.0), ("min_length", -2.0), ("min_length", math.nan),
+    ("ghost_suppression_db", math.inf), ("ghost_suppression_db", math.nan)])
+def test_pipeline_options_refuse_a_value_naming_it(key, value):
+    """A negative or NaN guard band once ran to a wrong decision."""
+    with pytest.raises(ValueError, match=repr(key)):
+        PipelineOptions(**{key: value})
+    PipelineOptions(guard_m=0.0, ghost_suppression_db=-20.0)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -121,7 +121,7 @@ def _reference_documents():
 
 
 _BAD_VALUES = (None, "8", True, [1.0], {}, math.nan, math.inf, -math.inf,
-               1e15, -1e15, -1.0, 0)
+               1e308, -1e308, -1.0, 0)
 
 
 def _paths(doc, prefix=()):

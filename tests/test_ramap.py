@@ -451,7 +451,7 @@ def test_extract_peaks_memory_peak():
     heaviest case Stage I meets; its fully tapered map cut at rung 1's range
     limit is the other kind of search Stage I makes."""
     spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(0)
-    frame = synthesize(spec)
+    frame = synthesize(spec).samples
     detection = compute_ra_map(frame, spec.radar)
     i, _ = detection.fov_argmax()
     gate = float(detection.range_axis_m[i]) - 4.5
@@ -558,7 +558,7 @@ def test_map_binary_bytes_match_full_transform(tmp_path, radar):
     spec = scenario_from_doc(reference_scene_doc(30.0, 60.0)).with_seed(3)
     echo = synthesize(spec)
     path = tmp_path / "map.bin"
-    write_map_binary(echo, radar, path, seed=3)
+    write_map_binary(echo.samples, radar, path, seed=3)
     data = path.read_bytes()
     assert data[:4] == b"NLRM"
     assert data[32:] == _unpruned_values(echo.samples).astype(np.complex64).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -301,3 +302,40 @@ def test_randomize_scenario_lets_a_bad_argument_through():
     draw can fix is raised at once, not after 1000 attempts."""
     with pytest.raises(ValueError, match="irregularity sigma must be non-negative"):
         randomize_scenario(SceneClass.NLOS, 0, sigma_x=-0.1)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("surface", "x", 1e308), ("surface", "y", -1e308),
+    ("surface", "length", 1e300), ("surface", "sigma_x", 48000.5),
+    ("target", "x", -1e308), ("target", "y", 1e200), ("target", "r2", 1e308)])
+def test_scene_beyond_a_thousand_range_windows_is_refused_naming_its_key(
+        section, key, value):
+    """Coordinates, lengths, r2 and sigma_x near float64's range once ran
+    into overflowing geometry; beyond 1000 range windows (48 km) of the
+    radar a scene file's value is refused naming its key."""
+    doc = reference_scene_doc()
+    if section == "target" and key != "r2":
+        doc["target"] = {"x": 1.0, "y": 30.0}
+        doc["scene_class"] = "los_with_surface_mp"
+    doc[section][key] = value
+    with pytest.raises(ValueError, match=f"'{section}' '{key}'.*48000 m"):
+        scenario_from_doc(doc)
+
+
+def test_scenario_spec_bounds_its_geometry_by_the_range_window():
+    """A scenario built without a scene file is held to the same bound:
+    sigma_x at 1000 range windows passes, beyond them it is refused, and a
+    radar with a wider window takes it."""
+    spec = scenario_from_doc(reference_scene_doc())
+
+    def rough(sigma_x, radar=spec.radar):
+        surface = dataclasses.replace(spec.surface, irregularity_sigma=sigma_x)
+        return ScenarioSpec(radar, surface, spec.target, spec.snr,
+                            spec.scene_class)
+
+    rough(48000.0)
+    with pytest.raises(ValueError, match="'surface' 'sigma_x'"):
+        rough(48000.5)
+    rough(48000.5, RadarConfig(num_samples=256))
+    with pytest.raises(ValueError, match="'surface' 'sigma_x'"):
+        randomize_scenario(SceneClass.NLOS, 0, sigma_x=1e308)
