@@ -21,7 +21,7 @@ target = nr.target_from_prp(wall, phi_ko_deg=6.3, r2=11.9)
 print(f"wall support line: y = x*tan(25 deg) + {wall.intercept:.3f}")
 print(f"hidden target at ({target.x:.2f}, {target.y:.2f}) m")
 
-prp = nr.solve_prp(wall, (0.0, 0.0), target.xy)
+prp = nr.solve_prp(wall, target.xy)
 print(f"specular point: bearing {prp.angle_deg:.2f} deg, "
       f"R1 = {prp.r_radar_prp:.2f} m, R2 = {prp.r_prp_target:.2f} m; "
       f"apparent range {prp.r_radar_prp + prp.r_prp_target:.2f} m")

@@ -19,7 +19,6 @@ from .echo import (
     OutOfWindowError,
     RadarEcho,
     ScatterDraw,
-    WaveformConfig,
     amplitude_for_snr,
     calibrate_noise,
     read_echo,

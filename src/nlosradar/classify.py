@@ -87,7 +87,6 @@ class FovMasks:
     def __init__(self, union: np.ndarray, ranges: np.ndarray,
                  sin_a: np.ndarray, cos_a: np.ndarray, band: _GuardBand):
         self.union = union
-        self.guard_m = band.guard_m
         self._r, self._sin, self._cos, self._band = ranges, sin_a, cos_a, band
 
     def region(self, i: int, j: int) -> Hypothesis:
@@ -143,7 +142,8 @@ def build_masks(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
     segment from the radar to the cell meets that band, LOS when it does
     not, and neither when the cell itself lies inside the band.  Only the
     band and the union of the two regions are computed here; the LOS/NLOS
-    labels are computed on demand (see FovMasks).
+    labels are computed on demand (see FovMasks).  Raises ValueError naming
+    ``guard_m`` when the band covers every cell of the field of view.
     """
     if not estimate.detected:
         raise ValueError("masks require a detected surface estimate")
@@ -168,6 +168,9 @@ def build_masks(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
     near = (r >= low - step) & (r <= high + step)
     rows = r[near, None]
     union[near] &= ~band.contains(rows * sin_a, rows * cos_a)
+    if not union.any():
+        raise ValueError(f"'guard_m' = {guard_m:g} m: the guard band covers "
+                         "the whole field of view, leaving no cell to search")
     return FovMasks(union, r, sin_a, cos_a, band)
 
 

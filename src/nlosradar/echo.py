@@ -7,10 +7,11 @@ chirp: a scatterer reached with total propagation delay tau contributes
 
     exp(j pi a tau^2) * exp(-j 2 pi a tau (T0/N) n),   n = 0..N-1
 
-with chirp slope a, so its beat lands at fast-time frequency a*tau.  Delays
-count one way per path segment, R / c; a wall point at range R therefore
-returns with delay 2R/c, and the symmetric two-bounce path through the
-specular point with delay 2(R1+R2)/c.  With the range axis calibrated as
+with the radar's chirp slope a (``RadarConfig.chirp_slope``) and duration
+T0 (``CHIRP_DURATION_S``), so its beat lands at fast-time frequency a*tau.
+Delays count one way per path segment, R / c; a wall point at range R
+therefore returns with delay 2R/c, and the symmetric two-bounce path
+through the specular point with delay 2(R1+R2)/c.  With the range axis calibrated as
 c*delay/2 the wall peaks at its true range and the target return appears at
 apparent range R1 + R2.
 
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    CHIRP_DURATION_S,
     MAX_FRAME_SIZE,
     RadarConfig,
     ReflectiveSurface,
@@ -47,24 +49,6 @@ from .scenario import SceneClass, ScenarioSpec, SnrSpec
 
 class OutOfWindowError(ValueError):
     """A scatterer's apparent range exceeds the unambiguous window N*dr."""
-
-
-@dataclass(frozen=True)
-class WaveformConfig:
-    """Linear FMCW chirp, s(t) = exp(j pi a t^2)."""
-
-    chirp_duration: float = 40e-6
-    chirp_slope: float = 1e13
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.chirp_slope * self.chirp_duration
-
-    @classmethod
-    def from_bandwidth(cls, bandwidth_hz: float,
-                       chirp_duration: float = 40e-6) -> "WaveformConfig":
-        return cls(chirp_duration=chirp_duration,
-                   chirp_slope=bandwidth_hz / chirp_duration)
 
 
 @dataclass
@@ -138,24 +122,24 @@ def scattering_gain(incidence_angle_deg, scatter_direction_deg, theta_w_deg,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _beat(taus: np.ndarray, waveform: WaveformConfig, num_samples: int) -> np.ndarray:
-    """Dechirped fast-time samples for delays ``taus``; output (..., N)."""
-    a = waveform.chirp_slope
-    t = (waveform.chirp_duration / num_samples) * np.arange(num_samples)
+def _beat(taus: np.ndarray, radar: RadarConfig) -> np.ndarray:
+    """Dechirped fast-time samples of ``radar``'s chirp for delays ``taus``;
+    output (..., N)."""
+    a, n = radar.chirp_slope, radar.num_samples
+    t = (CHIRP_DURATION_S / n) * np.arange(n)
     taus = np.asarray(taus, dtype=float)
     rvp = np.exp(1j * np.pi * a * taus**2)
     return rvp[..., None] * np.exp(-2j * np.pi * a * taus[..., None] * t)
 
 
-def calibrate_noise(snr: SnrSpec, radar: RadarConfig,
-                    wall_amplitude: float = 1.0) -> float:
+def calibrate_noise(snr: SnrSpec, radar: RadarConfig) -> float:
     """Noise variance that realizes the surface post-processing SNR.
 
-    Solves  snr.surface_snr_db = 10*log10(A^2 / sigma_n^2) + 10*log10(Mr*N)
-    for sigma_n^2, for a wall reflector of per-sample amplitude A.
+    Solves  snr.surface_snr_db = 10*log10(1 / sigma_n^2) + 10*log10(Mr*N)
+    for sigma_n^2: the wall is the unit amplitude reference.
     """
     gain = radar.num_rx * radar.num_samples
-    return wall_amplitude**2 * gain * 10.0 ** (-snr.surface_snr_db / 10.0)
+    return gain * 10.0 ** (-snr.surface_snr_db / 10.0)
 
 
 def amplitude_for_snr(snr_db: float, radar: RadarConfig,
@@ -166,16 +150,16 @@ def amplitude_for_snr(snr_db: float, radar: RadarConfig,
 
 
 def synthesize_surface_echo(reflectors: SurfacePointSet, radar: RadarConfig,
-                            surface: ReflectiveSurface, draw: ScatterDraw,
-                            waveform: WaveformConfig,
-                            amplitude: float = 1.0) -> np.ndarray:
+                            surface: ReflectiveSurface,
+                            draw: ScatterDraw) -> np.ndarray:
     """Direct wall return: sum of per-reflector dechirped echoes.
 
     Reflector k at range R_k, bearing phi_k, contributes its Rayleigh
     coefficient times the backscatter fraction (1 - lambda) and the two-way
     free-space weight 1/R_k^2, on receive steering a_r(phi_k) and delay
     2 R_k / c.  The echo is scaled so the per-sample amplitude of a unit
-    coefficient reflector at the wall-center range equals ``amplitude``.
+    coefficient reflector at the wall-center range is 1, the amplitude
+    ``calibrate_noise`` references.
     """
     if len(reflectors) == 0:
         raise ValueError("empty reflector set")
@@ -190,9 +174,9 @@ def synthesize_surface_echo(reflectors: SurfacePointSet, radar: RadarConfig,
 
     r_ref, _ = xy_to_polar(surface.center)
     loss = (r_ref / reflectors.ranges) ** 2        # relative two-way amplitude
-    weights = amplitude * draw.surface_coeffs * loss
+    weights = draw.surface_coeffs * loss
     taus = 2.0 * reflectors.ranges / SPEED_OF_LIGHT
-    beats = _beat(taus, waveform, radar.num_samples)       # (K, N)
+    beats = _beat(taus, radar)                             # (K, N)
     steer = steering_vector(reflectors.angles_deg, radar.num_rx,
                             radar.element_spacing, radar.carrier_wavelength)
     return steer @ (weights[:, None] * beats)
@@ -200,7 +184,7 @@ def synthesize_surface_echo(reflectors: SurfacePointSet, radar: RadarConfig,
 
 def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
                            surface: ReflectiveSurface, target_xy,
-                           draw: ScatterDraw, waveform: WaveformConfig,
+                           draw: ScatterDraw,
                            amplitude: float = 1.0) -> np.ndarray:
     """Two-bounce target return routed via the wall, summed over all
     (outbound, inbound) reflector pairs.
@@ -229,7 +213,7 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     illuminated, and a zero matrix is returned; that is a regular outcome,
     so no warning is issued.
     """
-    prp = solve_prp(surface, (0.0, 0.0), np.asarray(target_xy, dtype=float))
+    prp = solve_prp(surface, np.asarray(target_xy, dtype=float))
     if not prp.on_segment:
         return np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
     if prp.r_radar_prp + prp.r_prp_target >= radar.max_range_m:
@@ -262,7 +246,7 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
 
     s = r_rk + r_kt
     taus = (s[:, None] + s[None, :]) / SPEED_OF_LIGHT
-    beats = _beat(taus, waveform, radar.num_samples)        # (K, K, N)
+    beats = _beat(taus, radar)                              # (K, K, N)
     steer = steering_vector(angles, radar.num_rx, radar.element_spacing,
                             radar.carrier_wavelength)            # (M_r, K)
 
@@ -273,8 +257,7 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
     # expected peak power at the specular cell under unit-power draws:
     # sum of squared per-pair matched-filter responses
     a_spec, b_spec = _point_return(prp.r_radar_prp + prp.r_prp_target,
-                                   prp.angle_deg, radar, waveform,
-                                   (radar.num_rx, radar.num_samples))
+                                   prp.angle_deg, radar)
     angle_resp = np.conj(a_spec) @ steer                     # (K~,)
     range_resp = np.einsum("abn,n->ab", beats, np.conj(b_spec))
     pair_resp = np.outer(leg_det, leg_det) * range_resp * angle_resp[None, :]
@@ -286,26 +269,23 @@ def synthesize_target_echo(reflectors: SurfacePointSet, radar: RadarConfig,
 
 
 def synthesize_direct_echo(target_xy, radar: RadarConfig,
-                           waveform: WaveformConfig, amplitude: float = 1.0,
+                           amplitude: float = 1.0,
                            coeff: complex = 1.0 + 0.0j) -> np.ndarray:
     """Single-scatterer direct return at the target's own polar cell."""
     r, ang = xy_to_polar(target_xy)
     if r >= radar.max_range_m:
         raise OutOfWindowError("target beyond the unambiguous range")
-    steer, beat = _point_return(r, ang, radar, waveform,
-                                (radar.num_rx, radar.num_samples))
+    steer, beat = _point_return(r, ang, radar)
     return amplitude * coeff * np.outer(steer, beat)
 
 
-def _point_return(range_m: float, angle_deg: float, radar: RadarConfig,
-                  waveform: WaveformConfig, shape: tuple[int, int]):
-    """Steering (M_r,) and beat (N,) factors of a point return in an
-    (M_r, N) frame, whose response is their outer product; cancellation
-    subtracts exactly the response synthesis adds."""
-    m_r, n = shape
-    steer = steering_vector(angle_deg, m_r, radar.element_spacing,
+def _point_return(range_m: float, angle_deg: float, radar: RadarConfig):
+    """Steering (M_r,) and beat (N,) factors of a point return in ``radar``'s
+    frame, whose response is their outer product; cancellation subtracts
+    exactly the response synthesis adds."""
+    steer = steering_vector(angle_deg, radar.num_rx, radar.element_spacing,
                             radar.carrier_wavelength)
-    return steer, _beat(np.array(2.0 * range_m / SPEED_OF_LIGHT), waveform, n)
+    return steer, _beat(np.array(2.0 * range_m / SPEED_OF_LIGHT), radar)
 
 
 def _noise(radar: RadarConfig, variance: float, rng: np.random.Generator) -> np.ndarray:
@@ -432,7 +412,8 @@ def _middle(values: np.ndarray, k1: int, k2: int) -> float:
 def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
                            max_components: int = 6,
                            stop_db: float = 18.0) -> np.ndarray:
-    """Successively cancel dominant point returns from a frame.
+    """Successively cancel dominant point returns from a frame of
+    ``radar``'s shape (num_rx, num_samples).
 
     Finds the strongest cell of a coarsely padded (256 x 256) transform,
     subtracts the least-squares matched rank-one response (steering vector
@@ -462,7 +443,6 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
     other step transforms the residual afresh and, when the count cannot
     decide, compares the peak with the exact median.
     """
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     m_r, n = samples.shape
     pad = MAX_FRAME_SIZE
     du = radar.element_spacing / radar.carrier_wavelength
@@ -489,8 +469,7 @@ def suppress_point_returns(samples: np.ndarray, radar: RadarConfig,
         if abs(u) > 1.0:
             break
         a, b = _point_return(q * radar.max_range_m / pad,
-                             math.degrees(math.asin(u)), radar, waveform,
-                             samples.shape)
+                             math.degrees(math.asin(u)), radar)
         sig = np.outer(a, b)
         amp = np.vdot(sig, work) / (m_r * n)
         work -= amp * sig
@@ -545,7 +524,6 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
     noise are split from it so components can be reproduced in isolation.
     """
     radar = spec.radar
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     ss = np.random.SeedSequence(spec.seed)
     seed_surface, seed_draw, seed_noise = (int(c.generate_state(1)[0])
                                            for c in ss.spawn(3))
@@ -560,24 +538,24 @@ def synthesize(spec: ScenarioSpec, keep_components: bool = False,
         reflectors = effective_reflectors(points, radar)
         draw = ScatterDraw.draw(len(reflectors), seed_draw)
         components["surface"] = synthesize_surface_echo(
-            reflectors, radar, spec.surface, draw, waveform, amplitude=1.0)
+            reflectors, radar, spec.surface, draw)
     else:
         draw = ScatterDraw.draw(0, seed_draw)
 
     if spec.scene_class is SceneClass.NLOS:
         components["target"] = synthesize_target_echo(
-            reflectors, radar, spec.surface, spec.target.xy, draw, waveform,
+            reflectors, radar, spec.surface, spec.target.xy, draw,
             amplitude=target_amp)
     elif spec.target is not None:
         components["target"] = synthesize_direct_echo(
-            spec.target.xy, radar, waveform, amplitude=target_amp,
+            spec.target.xy, radar, amplitude=target_amp,
             coeff=draw.target_coeff)
         if spec.scene_class is SceneClass.LOS_SURFACE_MP:
             ghost_amp = amplitude_for_snr(
                 spec.snr.target_snr_db - ghost_suppression_db, radar, noise_var)
             components["ghost"] = synthesize_target_echo(
                 reflectors, radar, spec.surface, spec.target.xy, draw,
-                waveform, amplitude=ghost_amp)
+                amplitude=ghost_amp)
 
     if include_noise:
         components["noise"] = _noise(radar, noise_var,

@@ -22,6 +22,9 @@ import numpy as np
 # Propagation speed, rounded so a 400 MHz sweep gives an exact 0.375 m range bin.
 SPEED_OF_LIGHT = 3.0e8
 
+# Duration of the radar's one linear FMCW chirp, which sweeps its bandwidth.
+CHIRP_DURATION_S = 40e-6
+
 # Most points a wall is sampled into, at half a range bin apart, before the
 # field-of-view cut; at the bound discretizing one takes about 19 MB.
 MAX_SURFACE_POINTS = 2**18
@@ -53,10 +56,11 @@ def xy_to_polar(xy) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RadarConfig:
-    """Receive-array and waveform-budget configuration of the radar.
+    """Receive-array and waveform configuration of the radar at the origin.
 
     The array is a uniform linear array of ``num_rx`` elements along x,
-    element 0 at the origin.  ``element_spacing`` defaults to half the
+    element 0 at the origin.  The one chirp sweeps ``bandwidth_hz`` in
+    ``CHIRP_DURATION_S``.  ``element_spacing`` defaults to half the
     carrier wavelength.  There is a single transmitter: the synthesized
     frame has no transmitter dimension.
     """
@@ -92,6 +96,11 @@ class RadarConfig:
     def range_bin_m(self) -> float:
         """Coarse range resolution c / (2 * BW); strictly positive."""
         return SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
+
+    @property
+    def chirp_slope(self) -> float:
+        """Chirp slope in Hz/s, ``bandwidth_hz / CHIRP_DURATION_S``."""
+        return self.bandwidth_hz / CHIRP_DURATION_S
 
     @property
     def max_range_m(self) -> float:
@@ -282,27 +291,28 @@ def mirror_across_surface(xy, surface: ReflectiveSurface) -> np.ndarray:
     return p - 2.0 * surface.signed_offset(p) * n
 
 
-def solve_prp(surface: ReflectiveSurface, radar_origin, target) -> PrpSolution:
+def solve_prp(surface: ReflectiveSurface, target) -> PrpSolution:
     """Locate the perfect reflection point by the mirror-image construction.
 
-    The radar origin is reflected across the support line; the PRP is the
-    intersection of the mirrored-origin -> target segment with the line.  At
-    that point the incidence and reflection angles about the local normal are
-    equal, and r_radar_prp + r_prp_target equals |mirror(origin) - target|.
+    The radar at the origin is reflected across the support line; the PRP
+    is the intersection of the mirrored-radar -> target segment with the
+    line.  At that point the incidence and reflection angles about the
+    local normal are equal, and r_radar_prp + r_prp_target equals
+    |mirror(origin) - target|.
 
-    Raises GeometryError when the target is on or behind the support line,
-    or when the mirrored segment runs parallel to it.
+    Raises GeometryError when the support line passes through the radar,
+    when the target is on or behind the line, or when the mirrored segment
+    runs parallel to it.
     """
-    o = np.asarray(radar_origin, dtype=float)
     t = np.asarray(target, dtype=float)
-    g_o = surface.signed_offset(o)
+    g_o = surface.signed_offset((0.0, 0.0))
     g_t = surface.signed_offset(t)
     if g_o <= 0:
-        raise GeometryError("radar origin is on or behind the surface line")
+        raise GeometryError("surface line passes through the radar")
     if g_t <= 0:
         raise GeometryError("target is on or behind the surface line")
 
-    m = o - 2.0 * g_o * surface.normal_toward_radar
+    m = -2.0 * g_o * surface.normal_toward_radar
     d = t - m
     dn = float(d @ surface.normal_toward_radar)
     if abs(dn) < 1e-15:
@@ -312,10 +322,9 @@ def solve_prp(surface: ReflectiveSurface, radar_origin, target) -> PrpSolution:
 
     along = float((prp - surface.center) @ surface.direction)
     on_segment = abs(along) <= surface.length / 2.0 + 1e-12
-    r1 = float(np.linalg.norm(prp - o))
+    r1 = float(np.linalg.norm(prp))
     r2 = float(np.linalg.norm(t - prp))
-    rel = prp - o
-    phi = math.degrees(math.atan2(rel[0], rel[1]))
+    phi = math.degrees(math.atan2(prp[0], prp[1]))
     return PrpSolution(prp=(float(prp[0]), float(prp[1])), angle_deg=phi,
                        r_radar_prp=r1, r_prp_target=r2, on_segment=on_segment)
 
@@ -358,20 +367,18 @@ def ground_truth_target(phi_ko_deg: float, r1: float, r2: float,
                      r1 * math.cos(p) - r2 * math.cos(q)])
 
 
-def occludes(surface: ReflectiveSurface, xy, radar_origin=(0.0, 0.0)) -> bool:
+def occludes(surface: ReflectiveSurface, xy) -> bool:
     """True when the straight path radar -> xy crosses the finite segment."""
-    o = np.asarray(radar_origin, dtype=float)
     p = np.asarray(xy, dtype=float)
     a, b = surface.endpoints()
 
     def cross(u, v):
         return u[0] * v[1] - u[1] * v[0]
 
-    d1 = p - o
     d2 = b - a
-    denom = cross(d1, d2)
+    denom = cross(p, d2)
     if abs(denom) < 1e-15:
         return False
-    s = cross(a - o, d2) / denom       # position along radar -> xy
-    t = cross(a - o, d1) / denom       # position along segment
+    s = cross(a, d2) / denom           # position along radar -> xy
+    t = cross(a, p) / denom            # position along segment
     return 0.0 < s < 1.0 and 0.0 <= t <= 1.0

@@ -395,38 +395,36 @@ def reference_scene_doc(snr_surface_db: float = 30.0,
 
 
 def sweep_delta_snr(grid=(10.0, 20.0, 30.0, 40.0), trials_per_point: int = 200,
-                    snr_surface_db: float = 30.0, seed: int = 0) -> SweepSpec:
+                    seed: int = 0) -> SweepSpec:
     """Localization RMSE versus target-minus-surface SNR on the fixed scene."""
     return SweepSpec(name="delta_snr", swept="delta_snr", grid=tuple(grid),
                      trials_per_point=trials_per_point,
-                     base_scene=reference_scene_doc(snr_surface_db), seed=seed)
+                     base_scene=reference_scene_doc(), seed=seed)
 
 
 def sweep_identification(grid=(0.0, 10.0, 20.0, 30.0, 40.0),
                          trials_per_point: int = 200,
-                         snr_surface_db: float = 30.0, seed: int = 0) -> SweepSpec:
+                         seed: int = 0) -> SweepSpec:
     """Pr(I1|I1) and Pr(I1|I0) versus differential SNR on randomized scenes."""
     return SweepSpec(name="identification", swept="delta_snr", grid=tuple(grid),
                      trials_per_point=trials_per_point,
-                     base_scene={"snr": {"surface_db": snr_surface_db,
-                                         "target_db": snr_surface_db}},
+                     base_scene={"snr": {"surface_db": 30.0, "target_db": 30.0}},
                      mode="identification", seed=seed)
 
 
 def sweep_irregularity(grid=(0.0, 0.1, 0.2, 0.3), trials_per_point: int = 200,
-                       snr_target_db: float = 55.0, seed: int = 0) -> SweepSpec:
+                       seed: int = 0) -> SweepSpec:
     """Localization RMSE versus wall roughness on the fixed scene."""
     return SweepSpec(name="irregularity", swept="sigma_x", grid=tuple(grid),
                      trials_per_point=trials_per_point,
-                     base_scene=reference_scene_doc(30.0, snr_target_db),
-                     seed=seed)
+                     base_scene=reference_scene_doc(30.0, 55.0), seed=seed)
 
 
 def sweep_surface_angle(grid=(5.0, 15.0, 25.0, 35.0, 45.0),
                         trials_per_point: int = 200,
-                        snr_target_db: float = 50.0, seed: int = 0) -> SweepSpec:
+                        seed: int = 0) -> SweepSpec:
     """Localization RMSE versus wall orientation on the fixed scene."""
-    doc = reference_scene_doc(30.0, snr_target_db)
+    doc = reference_scene_doc()
     doc["target"] = {"phi_ko_deg": 9.46, "r2": 11.89}
     return SweepSpec(name="surface_angle", swept="theta_w", grid=tuple(grid),
                      trials_per_point=trials_per_point, base_scene=doc, seed=seed)
@@ -434,9 +432,9 @@ def sweep_surface_angle(grid=(5.0, 15.0, 25.0, 35.0, 45.0),
 
 def sweep_surface_length(grid=(1.0, 3.0, 5.0, 7.0, 9.0, 11.0),
                          trials_per_point: int = 200,
-                         snr_target_db: float = 50.0, seed: int = 0) -> SweepSpec:
+                         seed: int = 0) -> SweepSpec:
     """Localization RMSE versus wall length on the fixed scene."""
-    doc = reference_scene_doc(30.0, snr_target_db)
+    doc = reference_scene_doc()
     doc["target"] = {"phi_ko_deg": 9.46, "r2": 11.89}
     return SweepSpec(name="surface_length", swept="d_w", grid=tuple(grid),
                      trials_per_point=trials_per_point, base_scene=doc, seed=seed)

@@ -176,14 +176,13 @@ def _range_rows(spectrum: np.ndarray, magnitude: np.ndarray, lo: int,
 
 
 def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
-    """(range bin, angle bin) of the strongest cell among ``valid`` cells.
+    """(range bin, angle bin) of the strongest cell among ``valid`` cells,
+    of which there is at least one (``build_masks`` refuses an empty union).
 
     The cell ``np.argmax`` finds in the magnitude with every other cell set
     to -1: the first in row-major order on a tie, or the first NaN.  It is
     searched ``_BLOCK_ROWS`` rows at a time, so no map-sized copy is made.
     """
-    if not valid.any():
-        raise ValueError("no valid cell to search")
     rows, cols = ra_map.magnitude.shape
     best, cell = -1.0, None
     for p in range(0, rows, _BLOCK_ROWS):

@@ -87,9 +87,10 @@ class ScenarioSpec:
                              f"{'needs a' if walled else 'has no'} 'surface'")
         if self.target is None and self.scene_class is not SceneClass.LOS_SURFACE_NO_MP:
             raise ValueError(f"a {self.scene_class.value} scene needs a 'target'")
-        _check_extents(self.radar, {
-            name: _document(getattr(self, name), name)
-            for name in _METER_KEYS if getattr(self, name) is not None})
+        sections = {name: _document(getattr(self, name), name)
+                    for name in _METER_KEYS if getattr(self, name) is not None}
+        _check_extents(self.radar, sections)
+        _check_first_bin(self.radar, sections)
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -117,6 +118,20 @@ def _check_extents(radar: RadarConfig, sections: dict) -> None:
                     f"(2 * bandwidth_hz), not {values[key]!r}")
 
 
+def _check_first_bin(radar: RadarConfig, sections: dict) -> None:
+    """A GeometryError naming ``bandwidth_hz`` when the wall centre or the
+    target in ``sections`` (as for _check_extents) lies within one range
+    bin of the radar, where its return would share bin 0 with the radar's
+    own; rejection sampling redraws such a scene like any invalid one."""
+    for name, values in sections.items():
+        r = np.hypot(values["x"], values["y"])
+        if r < radar.range_bin_m:
+            raise GeometryError(
+                f"scene {name!r} lies {r:g} m from the radar, inside the "
+                f"first range bin of c / (2 * 'bandwidth_hz') = "
+                f"{radar.range_bin_m:g} m")
+
+
 def target_from_prp(surface: ReflectiveSurface, phi_ko_deg: float,
                     r2: float) -> PointTarget:
     """Resolve a (phi_Ko, R2) polar target parameterization to a position.
@@ -134,7 +149,7 @@ def target_from_prp(surface: ReflectiveSurface, phi_ko_deg: float,
 def apparent_position(surface: ReflectiveSurface, target: PointTarget) -> np.ndarray:
     """Where the two-bounce return appears on the range-angle map: the cell
     at bearing phi_Ko and range R1 + R2."""
-    prp = solve_prp(surface, (0.0, 0.0), target.xy)
+    prp = solve_prp(surface, target.xy)
     return polar_to_xy(prp.r_radar_prp + prp.r_prp_target, prp.angle_deg)
 
 
@@ -145,7 +160,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         raise GeometryError("target outside the radar field of view")
 
     if spec.scene_class is SceneClass.NLOS:
-        prp = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy)
+        prp = solve_prp(spec.surface, spec.target.xy)
         if not prp.on_segment:
             raise GeometryError("no specular point on the finite surface")
         # the two-bounce return must land in the occluded region
@@ -212,10 +227,10 @@ def _draw_phi_ko(rng, surface: ReflectiveSurface, preset: ScenarioPreset) -> flo
 
 def randomize_scenario(scene_class: SceneClass | str, seed: int,
                        preset: ScenarioPreset | str = TRAINING_PRESET,
-                       radar: RadarConfig | None = None,
                        snr: SnrSpec | None = None,
                        sigma_x: float = 0.0) -> ScenarioSpec:
-    """Draw one scenario of the requested class from a parameter preset.
+    """Draw one scenario of the requested class from a parameter preset,
+    for the default ``RadarConfig``.
 
     The wall orientation is drawn once from its preset interval and kept;
     the other fields are drawn from their preset distributions, and draws
@@ -231,7 +246,7 @@ def randomize_scenario(scene_class: SceneClass | str, seed: int,
     scene_class = SceneClass(scene_class)
     if isinstance(preset, str):
         preset = PRESETS[preset]
-    radar = radar or RadarConfig()
+    radar = RadarConfig()
     rng = np.random.default_rng(seed)
     if scene_class is not SceneClass.LOS_NO_SURFACE:
         theta_deg = rng.uniform(*preset.theta_deg)
@@ -252,7 +267,7 @@ def randomize_scenario(scene_class: SceneClass | str, seed: int,
                 phi = _draw_phi_ko(rng, surface, preset)
                 r2 = rng.uniform(*preset.r2)
                 target = target_from_prp(surface, phi, r2)
-                prp = solve_prp(surface, (0.0, 0.0), target.xy)
+                prp = solve_prp(surface, target.xy)
                 if scene_class is SceneClass.LOS_SURFACE_NO_MP:
                     # occluded placement, but the echo will be direct-path only
                     xy = np.add(prp.prp, polar_to_xy(r2, prp.angle_deg))
@@ -267,7 +282,7 @@ def randomize_scenario(scene_class: SceneClass | str, seed: int,
                     if occludes(surface, target.xy) or \
                             surface.signed_offset(target.xy) < 2.5:
                         continue
-                    prp = solve_prp(surface, (0.0, 0.0), target.xy)
+                    prp = solve_prp(surface, target.xy)
             if prp is not None and not (prp.on_segment and prp.r_radar_prp
                                         + prp.r_prp_target < 0.98 * radar.max_range_m):
                 continue

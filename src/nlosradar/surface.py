@@ -149,13 +149,13 @@ def _weighted_ls(pts: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
 
 
 def _reestimate(pts: np.ndarray, slope: float, icept: float,
-                threshold: float, weights: np.ndarray, rounds: int = 2):
+                threshold: float, weights: np.ndarray):
     """Expand the consensus: refit on every point within the perpendicular
-    threshold of the current line, a couple of rounds.  The refit is
+    threshold of the current line, for up to two rounds.  The refit is
     weighted by ``weights`` (peak magnitudes), anchoring the line on the
     strong ridge cells rather than on the speckle skirt around them."""
     mask = None
-    for _ in range(rounds):
+    for _ in range(2):
         d = np.abs(pts[:, 1] - slope * pts[:, 0] - icept) \
             / math.sqrt(1.0 + slope**2)
         new_mask = d <= threshold
@@ -173,25 +173,25 @@ def _reestimate(pts: np.ndarray, slope: float, icept: float,
     return slope, icept, mask
 
 
-def _sidelobe_shadowed(peaks: list, dominance_db: float = 10.0,
-                       range_bins: int = 36, angle_bins: int = 6) -> np.ndarray:
+def _sidelobe_shadowed(peaks: list) -> np.ndarray:
     """Candidates sitting in a much stronger candidate's range-sidelobe lane.
 
     A point return throws range sidelobes up and down its own angle column;
-    weak candidates close in angle to a far stronger one are those
-    sidelobes, not independent reflections.  Genuine neighbor cells of a
-    tilted ridge sit at clearly different angle columns and survive.
-    Returns the mask of shadowed (drop-worthy) candidates.
+    weak candidates close in angle to a far stronger one (10 dB or more
+    stronger, within 6 angle and 36 range bins) are those sidelobes, not
+    independent reflections.  Genuine neighbor cells of a tilted ridge sit
+    at clearly different angle columns and survive.  Returns the mask of
+    shadowed (drop-worthy) candidates.
     """
     n = len(peaks)
     shadowed = np.zeros(n, dtype=bool)
-    ratio = 10.0 ** (dominance_db / 20.0)
+    ratio = 10.0 ** 0.5                 # 10 dB in magnitude
     for i in range(n):
         for j in range(n):
             if j == i or peaks[j].magnitude < peaks[i].magnitude * ratio:
                 continue
-            if abs(peaks[i].angle_bin - peaks[j].angle_bin) <= angle_bins \
-                    and abs(peaks[i].range_bin - peaks[j].range_bin) <= range_bins:
+            if abs(peaks[i].angle_bin - peaks[j].angle_bin) <= 6 \
+                    and abs(peaks[i].range_bin - peaks[j].range_bin) <= 36:
                 shadowed[i] = True
                 break
     return shadowed
@@ -206,25 +206,24 @@ def _refined_cartesian(ra_map: RangeAngleMap, peaks: list) -> np.ndarray:
     return out
 
 
-def _nearest_window(pts: np.ndarray, depth_m: float = 10.0,
-                    companion_m: float = 3.0) -> np.ndarray:
+def _nearest_window(pts: np.ndarray) -> np.ndarray:
     """Restrict candidates to the nearest extended structure.
 
     The reflective surface is the nearest extended return in the scene: a
     two-bounce blob appears several meters beyond it, so fitting inside a
-    range window anchored at the nearest candidate that has at least one
-    companion within ``companion_m`` (isolated noise spikes do not anchor)
-    covers the full ridge depth while excluding multipath structure behind
-    it.  Returns the in-window mask.
+    10 m range window anchored at the nearest candidate that has at least
+    one companion within 3 m (isolated noise spikes do not anchor) covers
+    the full ridge depth while excluding multipath structure behind it.
+    Returns the in-window mask.
     """
     r = np.hypot(pts[:, 0], pts[:, 1])
     anchor = float(r.min())
     for i in np.argsort(r, kind="stable"):
         d = np.hypot(pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1])
-        if np.count_nonzero(d <= companion_m) >= 2:    # itself plus one
+        if np.count_nonzero(d <= 3.0) >= 2:            # itself plus one
             anchor = float(r[i])
             break
-    return r <= anchor + depth_m
+    return r <= anchor + 10.0
 
 
 def _build_estimate(slope: float, icept: float,

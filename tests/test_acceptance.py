@@ -35,7 +35,7 @@ from nlosradar import (
     synthesize_surface_echo,
     synthesize_target_echo,
 )
-from nlosradar.echo import ScatterDraw, WaveformConfig, _noise
+from nlosradar.echo import ScatterDraw, _noise
 from nlosradar.geometry import discretize_surface, effective_reflectors
 from nlosradar.harness import (
     PipelineOptions,
@@ -74,7 +74,7 @@ def test_criterion_1_geometry_oracle():
     worst_pos, worst_snell = 0.0, 0.0
     for _ in range(10_000):
         surf, target = _random_nlos_geometry(rng)
-        prp = solve_prp(surf, (0.0, 0.0), target)
+        prp = solve_prp(surf, target)
         mirror = mirror_across_surface((0.0, 0.0), surf)
         # mirror-construction identities
         path = np.linalg.norm(mirror - target)
@@ -105,7 +105,6 @@ def test_criterion_2_range_contract():
     coarse range bin, and at the specular bearing within one coarse angle
     bin, over 100 random scenes (unit coefficients isolate the geometry)."""
     radar = RadarConfig()
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     range_fails, angle_fails = [], []
     worst_r, worst_u = 0.0, 0.0
     for i in range(100):
@@ -114,11 +113,11 @@ def test_criterion_2_range_contract():
         refl = effective_reflectors(pts, radar)
         echo = synthesize_target_echo(refl, radar, spec.surface,
                                       spec.target.xy,
-                                      ScatterDraw.unit(len(refl)), waveform)
+                                      ScatterDraw.unit(len(refl)))
         m = compute_ra_map(echo, radar)
         bi, bj = np.unravel_index(int(np.argmax(m.magnitude)),
                                   m.magnitude.shape)
-        prp = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy)
+        prp = solve_prp(spec.surface, spec.target.xy)
         dr = abs(m.range_axis_m[bi] - (prp.r_radar_prp + prp.r_prp_target))
         du = abs(math.sin(math.radians(m.angle_axis_deg[bj]))
                  - math.sin(math.radians(prp.angle_deg)))
@@ -173,7 +172,6 @@ def test_criterion_3_closed_loop_localization():
     Rayleigh fade of the target would let the wall's own return win the
     masked argmax, which says nothing about the geometry."""
     radar = RadarConfig()
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     fails, worst_ratio = [], 0.0
     for i in range(100):
         spec = randomize_scenario(SceneClass.NLOS, 30_000 + i,
@@ -183,17 +181,16 @@ def test_criterion_3_closed_loop_localization():
         draw = ScatterDraw.unit(len(refl))
         target_amp = amplitude_for_snr(spec.snr.target_snr_db, radar,
                                        calibrate_noise(spec.snr, radar))
-        echo = (synthesize_surface_echo(refl, radar, spec.surface, draw,
-                                        waveform)
+        echo = (synthesize_surface_echo(refl, radar, spec.surface, draw)
                 + synthesize_target_echo(refl, radar, spec.surface,
-                                         spec.target.xy, draw, waveform,
+                                         spec.target.xy, draw,
                                          amplitude=target_amp))
         m = compute_ra_map(echo, radar)
         est = SurfaceEstimate.from_truth(spec.surface)
         dec = decide(est, m, guard_m=1.0)
         res = localize(dec, est)
         err = math.hypot(res.x - spec.target.x, res.y - spec.target.y)
-        prp = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy)
+        prp = solve_prp(spec.surface, spec.target.xy)
         bound = _mapped_cell_bound(spec.surface, prp, radar)
         worst_ratio = max(worst_ratio, err / bound)
         if err > bound or dec.hypothesis is not Hypothesis.NLOS:
@@ -357,10 +354,9 @@ def test_criterion_10_processing_gain():
     """Measured post-transform SNR of a calibrated single scatterer matches
     the configured level within 0.5 dB, averaged over 1000 noise draws."""
     radar = RadarConfig()
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     target_snr_db = 30.0
     amp = amplitude_for_snr(target_snr_db, radar, noise_variance=1.0)
-    sig = synthesize_direct_echo((0.0, 15.0), radar, waveform, amplitude=amp)
+    sig = synthesize_direct_echo((0.0, 15.0), radar, amplitude=amp)
     peak_bin = (160, 256)
     rng = np.random.default_rng(10)
     peak_power, noise_power, n_noise_cells = 0.0, 0.0, 0

@@ -209,7 +209,7 @@ def test_decide_never_returns_guard_cell(radar, strip_surface):
 
 def test_decide_empty_union(radar, strip_surface):
     m = _flat_map(radar)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="guard_m"):
         decide(_estimate(strip_surface), m, guard_m=1e6)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nlosradar import (SceneClass, SnrSpec, cli, harness, randomize_scenario,
-                       save_scenario)
+                       save_scenario, scenario_from_doc)
 from nlosradar.cli import _sweep_spec, build_parser, main
 
 
@@ -172,13 +172,16 @@ def test_identification_spec_sweeping_another_variable_is_config_error(
     ("radar", "carrier_wavelength", 0.0), ("radar", "element_spacing", -1.0),
     ("surface", "x", 1e308), ("surface", "sigma_x", -1e308),
     ("target", "r2", 1e308), ("radar", "element_spacing", 1e308),
-    ("radar", "carrier_wavelength", 5e-324)])
+    ("radar", "carrier_wavelength", 5e-324), ("radar", "bandwidth_hz", 1e-290),
+    ("radar", "bandwidth_hz", 1e-100), ("radar", "bandwidth_hz", 1),
+    ("radar", "bandwidth_hz", 1e-3)])
 def test_malformed_scene_value_is_config_error_naming_it(
         tmp_path, capsys, section, key, value):
     """Each of these once ran to a traceback, ran on a truncated or
     converted value, or failed naming no key; each now exits 2 before any
     work, naming its key or, where the section's dataclass refuses the
-    value, its section."""
+    value, its section.  A bandwidth that puts the whole scene inside the
+    first range bin once ran to an I0 decision at 0 m."""
     doc = {"radar": {"num_rx": 16, "num_tx": 1},
            "surface": {"x": 2.0, "y": 18.0, "length": 8.0, "theta_deg": 25.0},
            "target": {"phi_ko_deg": 6.3, "r2": 11.9},
@@ -284,6 +287,20 @@ def test_bad_option_value_is_config_error_naming_it(
     out = tmp_path / "out"
     assert _exit_code(argv + ["--out-dir", str(out)]) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("guard", ["50", "1e6", "1e308"])
+def test_guard_band_covering_the_field_of_view_is_config_error(
+        tmp_path, capsys, guard):
+    """A guard band that leaves Stage II no cell to search exits 2 naming
+    guard_m; it once failed naming no option."""
+    path = tmp_path / "reference.json"
+    save_scenario(scenario_from_doc(harness.reference_scene_doc()), path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--scene", str(path), "--guard-m", guard,
+                 "--out-dir", str(out)]) == 2
+    assert "guard_m" in capsys.readouterr().err
     assert not out.exists()
 
 

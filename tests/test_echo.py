@@ -31,24 +31,26 @@ from nlosradar import (
 from nlosradar.echo import (
     SPEED_OF_LIGHT,
     ScatterDraw,
-    WaveformConfig,
     _beat,
     _range_angle,
     suppress_point_returns,
 )
-from nlosradar.geometry import discretize_surface, effective_reflectors
+from nlosradar.geometry import (
+    CHIRP_DURATION_S,
+    discretize_surface,
+    effective_reflectors,
+)
 from nlosradar.harness import reference_scene_doc
 from nlosradar.scenario import randomize_scenario
 
 
-@pytest.fixture
-def waveform(radar):
-    return WaveformConfig.from_bandwidth(radar.bandwidth_hz)
-
-
-def test_waveform_product(radar):
-    wf = WaveformConfig.from_bandwidth(radar.bandwidth_hz, chirp_duration=40e-6)
-    assert wf.bandwidth_hz == pytest.approx(radar.bandwidth_hz, rel=1e-15)
+def test_waveform_product():
+    """The chirp sweeps the radar's bandwidth in CHIRP_DURATION_S, within
+    one rounding: the slope's quotient does not always round-trip exactly."""
+    for bandwidth_hz in (200e6, 400e6, 800e6):
+        radar = RadarConfig(bandwidth_hz=bandwidth_hz)
+        assert radar.chirp_slope * CHIRP_DURATION_S == pytest.approx(
+            radar.bandwidth_hz, rel=1e-15)
 
 
 def test_steering_boresight_all_ones(radar):
@@ -109,31 +111,30 @@ def test_delta_snr_is_difference():
     assert snr.delta_snr_db == pytest.approx(25.0)
 
 
-def test_single_reflector_peak_bins(radar, waveform):
+def test_single_reflector_peak_bins(radar):
     surf = ReflectiveSurface(center_x=0.0, center_y=15.0, length=0.05,
                              orientation_deg=0.0)
     pts = discretize_surface(surf, radar)
     refl = effective_reflectors(pts, radar)
     assert len(refl) == 1
-    echo = synthesize_surface_echo(refl, radar, surf, ScatterDraw.unit(1),
-                                   waveform)
+    echo = synthesize_surface_echo(refl, radar, surf, ScatterDraw.unit(1))
     m = compute_ra_map(echo, radar)
     i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
     assert (i, j) == (160, 256)            # padded bin of 15 m at boresight
     assert m.range_axis_m[i] == pytest.approx(15.0)
 
 
-def test_full_forward_scatter_zeroes_surface_echo(radar, waveform):
+def test_full_forward_scatter_zeroes_surface_echo(radar):
     surf = ReflectiveSurface(center_x=0.0, center_y=15.0, length=4.0,
                              orientation_deg=0.0, backscatter_ratio=1.0)
     pts = discretize_surface(surf, radar)
     refl = effective_reflectors(pts, radar)
     echo = synthesize_surface_echo(refl, radar, surf,
-                                   ScatterDraw.unit(len(refl)), waveform)
+                                   ScatterDraw.unit(len(refl)))
     assert np.all(echo == 0)
 
 
-def test_two_symmetric_reflectors_symmetric_map(radar, waveform):
+def test_two_symmetric_reflectors_symmetric_map(radar):
     from nlosradar.geometry import SurfacePointSet, polar_to_xy as p2x
     surf = ReflectiveSurface(center_x=0.0, center_y=15.0, length=8.0,
                              orientation_deg=0.0)
@@ -142,34 +143,33 @@ def test_two_symmetric_reflectors_symmetric_map(radar, waveform):
     ang = np.degrees(np.arctan2(xy[:, 0], xy[:, 1]))
     pts = SurfacePointSet(xy=xy, ranges=r, angles_deg=ang,
                           range_bins=np.round(r / radar.range_bin_m).astype(int))
-    echo = synthesize_surface_echo(pts, radar, surf, ScatterDraw.unit(2),
-                                   waveform)
+    echo = synthesize_surface_echo(pts, radar, surf, ScatterDraw.unit(2))
     m = compute_ra_map(echo, radar)
     left = m.magnitude[:, 1:256]
     right = m.magnitude[:, 257:]
     assert np.allclose(left, right[:, ::-1], atol=1e-6 * m.magnitude.max())
 
 
-def test_surface_echo_out_of_window(radar, waveform):
+def test_surface_echo_out_of_window(radar):
     surf = ReflectiveSurface(center_x=0.0, center_y=49.0, length=1.0,
                              orientation_deg=0.0)
     pts = discretize_surface(
         surf, RadarConfig(num_samples=256))          # wider window to build it
     with pytest.raises(OutOfWindowError):
         synthesize_surface_echo(pts, radar, surf,
-                                ScatterDraw.unit(len(pts)), waveform)
+                                ScatterDraw.unit(len(pts)))
 
 
-def test_two_bounce_peak_at_apparent_range(radar, waveform, far_surface):
+def test_two_bounce_peak_at_apparent_range(radar, far_surface):
     target = target_from_prp(far_surface, 6.3, 11.9)
-    prp = solve_prp(far_surface, (0.0, 0.0), target.xy)
+    prp = solve_prp(far_surface, target.xy)
     app = prp.r_radar_prp + prp.r_prp_target
     assert app == pytest.approx(34.9816634794964, abs=1e-9)
 
     pts = discretize_surface(far_surface, radar, rng_seed=1)
     refl = effective_reflectors(pts, radar)
     echo = synthesize_target_echo(refl, radar, far_surface, target.xy,
-                                  ScatterDraw.unit(len(refl)), waveform)
+                                  ScatterDraw.unit(len(refl)))
     m = compute_ra_map(echo, radar)
     i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
     assert abs(m.range_axis_m[i] - app) <= radar.range_bin_m
@@ -178,17 +178,17 @@ def test_two_bounce_peak_at_apparent_range(radar, waveform, far_surface):
     assert u_err <= 2.0 / radar.num_rx
 
 
-def test_zero_forward_scatter_zeroes_target_echo(radar, waveform):
+def test_zero_forward_scatter_zeroes_target_echo(radar):
     surf = ReflectiveSurface(center_x=0.0, center_y=15.0, length=8.0,
                              orientation_deg=0.0, backscatter_ratio=0.0)
     pts = discretize_surface(surf, radar)
     refl = effective_reflectors(pts, radar)
     echo = synthesize_target_echo(refl, radar, surf, (3.0, 8.0),
-                                  ScatterDraw.unit(len(refl)), waveform)
+                                  ScatterDraw.unit(len(refl)))
     assert np.all(echo == 0)
 
 
-def test_wider_lobe_does_not_lose_energy(radar, waveform):
+def test_wider_lobe_does_not_lose_energy(radar):
     base = dict(center_x=2.0, center_y=18.0, length=8.0, orientation_deg=25.0)
     target = target_from_prp(ReflectiveSurface(**base), 6.3, 11.9)
     energies = []
@@ -197,13 +197,12 @@ def test_wider_lobe_does_not_lose_energy(radar, waveform):
         pts = discretize_surface(surf, radar, rng_seed=0)
         refl = effective_reflectors(pts, radar)
         echo = synthesize_target_echo(refl, radar, surf, target.xy,
-                                      ScatterDraw.draw(len(refl), seed=1),
-                                      waveform)
+                                      ScatterDraw.draw(len(refl), seed=1))
         energies.append(float(np.sum(np.abs(echo)**2)))
     assert all(a <= b * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
 
 
-def test_off_segment_prp_returns_zeros_with_warning(radar, waveform):
+def test_off_segment_prp_returns_zeros_with_warning(radar):
     surf = ReflectiveSurface(center_x=0.0, center_y=10.0, length=1.0,
                              orientation_deg=0.0)
     pts = discretize_surface(surf, radar)
@@ -212,14 +211,14 @@ def test_off_segment_prp_returns_zeros_with_warning(radar, waveform):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         echo = synthesize_target_echo(refl, radar, surf, (9.0, 5.0),
-                                      ScatterDraw.unit(len(refl)), waveform)
+                                      ScatterDraw.unit(len(refl)))
     assert echo.shape == (radar.num_rx, radar.num_samples)
     assert np.all(echo == 0)
 
 
-def test_direct_echo_out_of_window(radar, waveform):
+def test_direct_echo_out_of_window(radar):
     with pytest.raises(OutOfWindowError):
-        synthesize_direct_echo((0.0, 49.0), radar, waveform)
+        synthesize_direct_echo((0.0, 49.0), radar)
 
 
 def _nlos_spec(radar, seed=0, snr=SnrSpec(30.0, 50.0)):
@@ -290,8 +289,8 @@ def test_noise_power_calibration(radar):
     assert total / count == pytest.approx(var, rel=0.03)
 
 
-def test_linear_amplitude_scaling_preserves_argmax(radar, waveform):
-    echo = synthesize_direct_echo(polar_to_xy(12.0, 15.0), radar, waveform,
+def test_linear_amplitude_scaling_preserves_argmax(radar):
+    echo = synthesize_direct_echo(polar_to_xy(12.0, 15.0), radar,
                                   amplitude=1.0)
     m1 = compute_ra_map(echo, radar)
     m2 = compute_ra_map(7.5 * echo, radar)
@@ -315,10 +314,10 @@ def test_echo_binary_round_trip(tmp_path, radar):
     assert path.stat().st_size == 32 + radar.num_rx * radar.num_samples * 8
 
 
-def test_suppress_point_returns_removes_dominant(radar, waveform):
-    strong = synthesize_direct_echo(polar_to_xy(30.0, 10.0), radar, waveform,
+def test_suppress_point_returns_removes_dominant(radar):
+    strong = synthesize_direct_echo(polar_to_xy(30.0, 10.0), radar,
                                     amplitude=100.0)
-    weak = synthesize_direct_echo(polar_to_xy(15.0, -20.0), radar, waveform,
+    weak = synthesize_direct_echo(polar_to_xy(15.0, -20.0), radar,
                                   amplitude=1.0)
     cleaned = suppress_point_returns(strong + weak, radar, max_components=3,
                                      stop_db=6.0)
@@ -374,7 +373,6 @@ def test_suppress_point_returns_continues_exactly():
 def _reference_suppress(samples, radar, max_components=6, stop_db=18.0):
     """The cancellation loop that transforms the residual afresh and takes
     the full-map median at every step."""
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     m_r, n = samples.shape
     pad = 256
     du = radar.element_spacing / radar.carrier_wavelength
@@ -391,7 +389,7 @@ def _reference_suppress(samples, radar, max_components=6, stop_db=18.0):
         r = q * radar.max_range_m / pad
         a = steering_vector(math.degrees(math.asin(u)), m_r,
                             radar.element_spacing, radar.carrier_wavelength)
-        b = _beat(np.array(2.0 * r / SPEED_OF_LIGHT), waveform, n).ravel()
+        b = _beat(np.array(2.0 * r / SPEED_OF_LIGHT), radar).ravel()
         sig = np.outer(a, b)
         amp = np.vdot(sig, work) / (m_r * n)
         work -= amp * sig
@@ -402,7 +400,6 @@ def _on_grid_returns(radar, returns):
     """Noiseless point returns, (angle bin, range bin, amplitude) each,
     centred on cells of the 256-point transform, so that cancelling them
     leaves nothing but rounding noise."""
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
     du = radar.element_spacing / radar.carrier_wavelength
     frame = np.zeros((radar.num_rx, radar.num_samples), dtype=complex)
     for p, q, amplitude in returns:
@@ -410,7 +407,7 @@ def _on_grid_returns(radar, returns):
                             radar.num_rx, radar.element_spacing,
                             radar.carrier_wavelength)
         b = _beat(np.array(2.0 * q * radar.max_range_m / 256 / SPEED_OF_LIGHT),
-                  waveform, radar.num_samples).ravel()
+                  radar).ravel()
         frame += amplitude * np.outer(a, b)
     return frame
 

@@ -162,7 +162,7 @@ def test_effective_reflectors_one_per_cell(radar, eval_surface):
 def test_solve_prp_horizontal_example():
     surf = ReflectiveSurface(center_x=0.0, center_y=10.0, length=8.0,
                              orientation_deg=0.0)
-    prp = solve_prp(surf, (0.0, 0.0), (4.0, 4.0))
+    prp = solve_prp(surf, (4.0, 4.0))
     assert prp.prp[0] == pytest.approx(2.5, abs=1e-12)
     assert prp.prp[1] == pytest.approx(10.0, abs=1e-12)
     assert prp.r_radar_prp == pytest.approx(10.307764064044152, abs=1e-9)
@@ -179,7 +179,7 @@ def test_solve_prp_horizontal_example():
 def test_prp_symmetry_boresight():
     surf = ReflectiveSurface(center_x=0.0, center_y=10.0, length=8.0,
                              orientation_deg=0.0)
-    prp = solve_prp(surf, (0.0, 0.0), (0.0, 4.0))
+    prp = solve_prp(surf, (0.0, 4.0))
     assert prp.prp[0] == pytest.approx(0.0, abs=1e-12)
     assert prp.angle_deg == pytest.approx(0.0, abs=1e-12)
 
@@ -203,7 +203,7 @@ def test_mirror_identities_random_scenes():
         target = (rng.uniform(-5, 12), rng.uniform(2, 14))
         if surf.signed_offset(target) <= 0.1:
             continue
-        prp = solve_prp(surf, (0.0, 0.0), target)
+        prp = solve_prp(surf, target)
         mirror = mirror_across_surface((0.0, 0.0), surf)
         # path length identity
         assert prp.r_radar_prp + prp.r_prp_target == pytest.approx(
@@ -230,9 +230,9 @@ def test_solve_prp_rejects_target_behind_line():
     surf = ReflectiveSurface(center_x=0.0, center_y=10.0, length=8.0,
                              orientation_deg=0.0)
     with pytest.raises(GeometryError):
-        solve_prp(surf, (0.0, 0.0), (0.0, 12.0))
+        solve_prp(surf, (0.0, 12.0))
     with pytest.raises(GeometryError):
-        solve_prp(surf, (0.0, 0.0), (0.0, 10.0))
+        solve_prp(surf, (0.0, 10.0))
 
 
 def test_occludes():

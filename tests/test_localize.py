@@ -75,7 +75,7 @@ def test_localize_exact_inverse_on_random_scenes():
                                      surf.orientation_deg)
         if surf.signed_offset(target) <= 0.1:
             continue
-        prp = solve_prp(surf, (0.0, 0.0), target)
+        prp = solve_prp(surf, target)
         est = SurfaceEstimate.from_truth(surf)
         dec = _decision(Hypothesis.NLOS, prp.angle_deg,
                         prp.r_radar_prp + prp.r_prp_target)

@@ -56,7 +56,7 @@ def _walls(center_x=(0.0, 6.0), center_y=(8.0, 22.0), length=(1.0, 13.0),
 @given(surf=_walls(), x=st.floats(-5.0, 12.0), y=st.floats(2.0, 14.0))
 def test_solve_prp_then_ground_truth_recovers_target(surf, x, y):
     assume(surf.signed_offset((x, y)) > 0.1)
-    prp = solve_prp(surf, (0.0, 0.0), (x, y))
+    prp = solve_prp(surf, (x, y))
     xy = ground_truth_target(prp.angle_deg, prp.r_radar_prp,
                              prp.r_prp_target, surf.orientation_deg)
     assert np.max(np.abs(xy - (x, y))) < 1e-9
@@ -70,7 +70,7 @@ def test_ground_truth_then_solve_prp_recovers_path(surf, phi, r2):
     assume(math.cos(p) - surf.slope * math.sin(p) > 0.1)
     r1 = range_to_prp(surf.intercept, surf.orientation_deg, phi)
     target = ground_truth_target(phi, r1, r2, surf.orientation_deg)
-    prp = solve_prp(surf, (0.0, 0.0), target)
+    prp = solve_prp(surf, target)
     assert abs(prp.angle_deg - phi) < 1e-7
     assert abs(prp.r_radar_prp - r1) < 1e-7
     assert abs(prp.r_prp_target - r2) < 1e-7

@@ -23,7 +23,6 @@ from nlosradar import (
 from nlosradar.echo import (
     _SAMPLE_STEP,
     _SELECT_MIN,
-    WaveformConfig,
     _bracketed,
     _median,
     _range_angle,
@@ -32,11 +31,6 @@ from nlosradar.harness import reference_scene_doc
 from nlosradar.ramap import Peak, _argmax_cell
 
 from conftest import InlineExecutor, rayleigh_field  # noqa: E402 - shared
-
-
-@pytest.fixture
-def waveform(radar):
-    return WaveformConfig.from_bandwidth(radar.bandwidth_hz)
 
 
 def _impulse_map(radar, cells):
@@ -65,13 +59,18 @@ def test_dimension_overflow(radar):
         compute_ra_map(np.zeros((600, 128), dtype=complex), radar)
 
 
-def test_boresight_scatterer_bins(radar, waveform):
-    echo = synthesize_direct_echo((0.0, 15.0), radar, waveform)
-    m = compute_ra_map(echo, radar)
-    i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
-    assert (i, j) == (160, 256)
-    assert m.magnitude[i, j] == pytest.approx(radar.num_rx * radar.num_samples,
-                                              rel=1e-9)
+def test_boresight_scatterer_bins():
+    """A 15 m boresight return lands on row 15 / range_step_m at each
+    bandwidth: the chirp follows the radar's bandwidth."""
+    for bandwidth_hz, row in ((200e6, 80), (400e6, 160), (800e6, 320)):
+        radar = RadarConfig(bandwidth_hz=bandwidth_hz)
+        echo = synthesize_direct_echo((0.0, 15.0), radar)
+        m = compute_ra_map(echo, radar)
+        i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
+        assert row == 15.0 / m.range_step_m
+        assert (i, j) == (row, 256)
+        assert m.magnitude[i, j] == pytest.approx(
+            radar.num_rx * radar.num_samples, rel=1e-9)
 
 
 def _unpruned_values(samples, window=None):
@@ -101,8 +100,7 @@ def test_pruned_transform_bit_identical_to_full(shape, window):
     than 16."""
     radar = RadarConfig(**shape)
     rng = np.random.default_rng(21)
-    waveform = WaveformConfig.from_bandwidth(radar.bandwidth_hz)
-    frames = [synthesize_direct_echo(polar_to_xy(17.0, -12.0), radar, waveform)]
+    frames = [synthesize_direct_echo(polar_to_xy(17.0, -12.0), radar)]
     for scale_exp in (-4, 0, 5):
         size = (radar.num_rx, radar.num_samples)
         frames.append(10.0**scale_exp * (rng.standard_normal(size)
@@ -256,9 +254,9 @@ def test_extract_exclusion_radius(radar):
             assert d > 8
 
 
-def test_extract_peaks_are_local_maxima(radar, waveform):
+def test_extract_peaks_are_local_maxima(radar):
     rng = np.random.default_rng(0)
-    echo = sum(synthesize_direct_echo(polar_to_xy(r, a), radar, waveform)
+    echo = sum(synthesize_direct_echo(polar_to_xy(r, a), radar)
                for r, a in [(10.0, -20.0), (20.0, 5.0), (30.0, 25.0)])
     echo = echo + 0.01 * (rng.standard_normal((16, 128))
                           + 1j * rng.standard_normal((16, 128)))
@@ -477,8 +475,8 @@ def test_extract_validation(radar):
         extract_peaks(m, k=MAP_SIZE * MAP_SIZE + 1)
 
 
-def test_polar_round_trip(radar, waveform):
-    echo = synthesize_direct_echo(polar_to_xy(21.0, -33.0), radar, waveform)
+def test_polar_round_trip(radar):
+    echo = synthesize_direct_echo(polar_to_xy(21.0, -33.0), radar)
     m = compute_ra_map(echo, radar)
     peaks = extract_peaks(m, k=1)
     r, ang = xy_to_polar(polar_to_xy(peaks[0].range_m, peaks[0].angle_deg))
@@ -486,17 +484,17 @@ def test_polar_round_trip(radar, waveform):
     assert ang == pytest.approx(peaks[0].angle_deg, abs=1e-9)
 
 
-def test_scaling_invariance_of_extraction(radar, waveform):
-    echo = synthesize_direct_echo(polar_to_xy(12.0, 8.0), radar, waveform) \
-        + synthesize_direct_echo(polar_to_xy(25.0, -15.0), radar, waveform) * 0.5
+def test_scaling_invariance_of_extraction(radar):
+    echo = synthesize_direct_echo(polar_to_xy(12.0, 8.0), radar) \
+        + synthesize_direct_echo(polar_to_xy(25.0, -15.0), radar) * 0.5
     a = extract_peaks(compute_ra_map(echo, radar), k=4)
     b = extract_peaks(compute_ra_map(echo * 3.0, radar), k=4)
     assert [(p.range_bin, p.angle_bin) for p in a] \
         == [(p.range_bin, p.angle_bin) for p in b]
 
 
-def test_window_preserves_on_bin_peak(radar, waveform):
-    echo = synthesize_direct_echo((0.0, 15.0), radar, waveform)
+def test_window_preserves_on_bin_peak(radar):
+    echo = synthesize_direct_echo((0.0, 15.0), radar)
     m = compute_ra_map(echo, radar, window="hann")
     i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
     assert (i, j) == (160, 256)
@@ -507,8 +505,8 @@ def test_window_preserves_on_bin_peak(radar, waveform):
         compute_ra_map(echo, radar, window="hamming")
 
 
-def test_refine_peak_quadratic_improves_off_bin(radar, waveform):
-    echo = synthesize_direct_echo((0.0, 15.05), radar, waveform)
+def test_refine_peak_quadratic_improves_off_bin(radar):
+    echo = synthesize_direct_echo((0.0, 15.05), radar)
     m = compute_ra_map(echo, radar)
     i, j = np.unravel_index(np.argmax(m.magnitude), m.magnitude.shape)
     refined_r, refined_a = refine_peak_quadratic(m, int(i), int(j))
@@ -516,11 +514,11 @@ def test_refine_peak_quadratic_improves_off_bin(radar, waveform):
     assert abs(refined_a) < 0.3
 
 
-def test_eight_reflector_recovery(radar, waveform):
+def test_eight_reflector_recovery(radar):
     # eight isolated scatterers across the map, moderate noise
     rng = np.random.default_rng(9)
     truths = [(8.0 + 4.0 * n, -35.0 + 10.0 * n) for n in range(8)]
-    echo = sum(synthesize_direct_echo(polar_to_xy(r, a), radar, waveform)
+    echo = sum(synthesize_direct_echo(polar_to_xy(r, a), radar)
                for r, a in truths)
     noise = (rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128)))
     echo = echo + noise * (10 ** (-30.0 / 20.0) * np.sqrt(16 * 128 / 2))
@@ -537,8 +535,8 @@ def test_eight_reflector_recovery(radar, waveform):
     assert recovered >= 6
 
 
-def test_map_exports(tmp_path, radar, waveform):
-    echo = synthesize_direct_echo((0.0, 15.0), radar, waveform)
+def test_map_exports(tmp_path, radar):
+    echo = synthesize_direct_echo((0.0, 15.0), radar)
     m = compute_ra_map(echo, radar)
     csv_path = tmp_path / "map.csv"
     write_magnitude_csv(m, csv_path)

@@ -32,7 +32,7 @@ def test_target_from_prp_matches_mirror():
     surf = ReflectiveSurface(center_x=2.0, center_y=18.0, length=8.0,
                              orientation_deg=25.0)
     t = target_from_prp(surf, 6.3, 11.9)
-    prp = solve_prp(surf, (0.0, 0.0), t.xy)
+    prp = solve_prp(surf, t.xy)
     assert prp.angle_deg == pytest.approx(6.3, abs=1e-9)
     assert prp.r_prp_target == pytest.approx(11.9, abs=1e-9)
 
@@ -43,7 +43,7 @@ def test_nlos_class_contract_occluded_apparent_position():
         validate_scenario(spec)
         assert occludes(spec.surface, apparent_position(spec.surface,
                                                         spec.target))
-        prp = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy)
+        prp = solve_prp(spec.surface, spec.target.xy)
         assert prp.on_segment
 
 
@@ -51,7 +51,7 @@ def test_mp_class_contract_visible_target():
     for seed in range(30):
         spec = randomize_scenario(SceneClass.LOS_SURFACE_MP, seed)
         assert not occludes(spec.surface, spec.target.xy)
-        assert solve_prp(spec.surface, (0.0, 0.0), spec.target.xy).on_segment
+        assert solve_prp(spec.surface, spec.target.xy).on_segment
 
 
 def test_no_mp_class_places_target_behind_wall():
@@ -82,7 +82,7 @@ def test_randomize_respects_bounds():
         lengths.append(s.length)
         xs.append(s.center_x)
         ys.append(s.center_y)
-        r2s.append(solve_prp(s, (0.0, 0.0), spec.target.xy).r_prp_target)
+        r2s.append(solve_prp(s, spec.target.xy).r_prp_target)
         assert 0.0 <= spec.snr.surface_snr_db <= 70.0
         assert 0.0 <= spec.snr.target_snr_db <= 80.0
     assert 1.0 <= min(thetas) and max(thetas) <= 46.0
@@ -100,7 +100,7 @@ def test_identification_preset_bounds():
                                   preset="identification")
         assert 12.0 <= spec.surface.center_y <= 22.0
         assert 4.0 <= spec.surface.length <= 12.0
-        r2 = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy).r_prp_target
+        r2 = solve_prp(spec.surface, spec.target.xy).r_prp_target
         assert 7.0 - 1e-9 <= r2 <= 18.0 + 1e-9
     assert IDENTIFICATION_PRESET.phi_ko_endpoint_scale == (1.25, 0.75)
     assert TRAINING_PRESET.phi_ko_endpoint_scale == (1.0, 1.0)
@@ -229,7 +229,7 @@ def test_phi_draw_within_surface_extent():
         a, b = spec.surface.endpoints()
         phis = sorted([math.degrees(math.atan2(a[0], a[1])),
                        math.degrees(math.atan2(b[0], b[1]))])
-        prp = solve_prp(spec.surface, (0.0, 0.0), spec.target.xy)
+        prp = solve_prp(spec.surface, spec.target.xy)
         assert phis[0] - 1e-6 <= prp.angle_deg <= phis[1] + 1e-6
 
 
