@@ -25,12 +25,10 @@ ra = nr.compute_ra_map(echo.samples, radar)
 
 # the target return is 30 dB above the wall here; Stage I first cancels
 # the dominant point returns before hunting for the wall ridge, and tapers
-# the channel axis so angle sidelobes do not masquerade as wall cells.  k is
-# the peak budget, about the wall's length in range cells (8 m / 0.375 m)
-# the detection map is passed as a callable: Stage I reads it only when its
+# the channel axis so angle sidelobes do not masquerade as wall cells.  The
+# detection map is passed as a callable: Stage I reads it only when its
 # first rung finds nothing, so a caller may still be forming it
-est, rung = nr.detect_surface(echo.samples, radar, 22, lambda: ra,
-                              seed=spec.seed)
+est, rung = nr.detect_surface(echo.samples, radar, lambda: ra, seed=spec.seed)
 print("Stage I  :", f"detected on rung {rung}" if est.detected else "no surface")
 if est.detected:
     print(f"           theta = {est.orientation_deg:.2f} deg (truth 25), "

@@ -53,7 +53,6 @@ from .harness import (
     PipelineOptions,
     SweepSpec,
     TrialRecord,
-    default_k,
     identification_rate,
     reference_scene_doc,
     rmse_d,

@@ -183,7 +183,7 @@ def decide(estimate: SurfaceEstimate, ra_map: RangeAngleMap,
                                  LOS-region winner -> I0
     """
     if not estimate.detected:
-        i, j = ra_map.fov_argmax()
+        i, j = _argmax_cell(ra_map, ra_map.fov_mask())
         hyp = Hypothesis.LOS
     else:
         masks = build_masks(estimate, ra_map, guard_m)

@@ -190,8 +190,8 @@ def _cmd_masks(args) -> int:
                           ghost_suppression_db=options.ghost_suppression_db)
         ra_map = compute_ra_map(echo.samples, spec.radar)
         estimate, _ = detect_surface(
-            echo.samples, spec.radar, harness.default_k(spec), lambda: ra_map,
-            seed=spec.seed, min_length=options.min_length)
+            echo.samples, spec.radar, lambda: ra_map, seed=spec.seed,
+            min_length=options.min_length)
     except (GeometryError, OutOfWindowError) as exc:
         print(f"trial failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

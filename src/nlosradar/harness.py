@@ -56,16 +56,6 @@ class PipelineOptions:
                                  f"number{kind}, not {getattr(self, key)!r}")
 
 
-def default_k(spec: ScenarioSpec) -> int:
-    """``run_trial``'s Stage I peak budget: the range cells the true wall
-    occupies (6 to 64), or 35 without a wall.  Reading the true length, the
-    harness's Stage I is not yet free of prior scene knowledge."""
-    if spec.surface is None:
-        return 35
-    k = math.ceil(spec.surface.length / spec.radar.range_bin_m)
-    return int(min(max(k, 6), 64))
-
-
 @dataclass
 class TrialRecord:
     scene_class: SceneClass
@@ -131,9 +121,8 @@ def run_trial(spec: ScenarioSpec, options: PipelineOptions = PipelineOptions()) 
             detection = helper.submit(_timed, compute_ra_map, echo.samples,
                                       spec.radar)
             estimate, record.stage1_rung = detect_surface(
-                echo.samples, spec.radar, default_k(spec),
-                lambda: detection.result()[0], seed=spec.seed,
-                min_length=options.min_length, helper=helper)
+                echo.samples, spec.radar, lambda: detection.result()[0],
+                seed=spec.seed, min_length=options.min_length, helper=helper)
             t2 = time.perf_counter()
             ra_map, map_ms = detection.result()
         t3 = time.perf_counter()

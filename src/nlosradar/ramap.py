@@ -88,13 +88,6 @@ class RangeAngleMap:
             np.abs(self.angle_axis_deg) <= self.radar.fov_half_angle_deg)
         return slice(int(cols[0]), int(cols[-1]) + 1)
 
-    def fov_argmax(self) -> tuple[int, int]:
-        """(range bin, angle bin) of the strongest cell in the field of view:
-        the first in row-major order on a tie, or the first NaN."""
-        band = self.magnitude[:, self.fov_cols]
-        i, j = divmod(int(np.argmax(band)), band.shape[1])
-        return i, self.fov_cols.start + j
-
     def fov_mask(self) -> np.ndarray:
         """Boolean mask, the map's shape, of cells inside the field of view."""
         ok = np.zeros(len(self.angle_axis_deg), dtype=bool)
@@ -177,7 +170,8 @@ def _range_rows(spectrum: np.ndarray, magnitude: np.ndarray, lo: int,
 
 def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
     """(range bin, angle bin) of the strongest cell among ``valid`` cells,
-    of which there is at least one (``build_masks`` refuses an empty union).
+    of which there is at least one (``build_masks`` refuses an empty union,
+    and the field of view is never empty).
 
     The cell ``np.argmax`` finds in the magnitude with every other cell set
     to -1: the first in row-major order on a tie, or the first NaN.  It is
@@ -186,8 +180,8 @@ def _argmax_cell(ra_map: RangeAngleMap, valid: np.ndarray) -> tuple[int, int]:
     rows, cols = ra_map.magnitude.shape
     best, cell = -1.0, None
     for p in range(0, rows, _BLOCK_ROWS):
-        rows = slice(p, p + _BLOCK_ROWS)
-        block = np.where(valid[rows], ra_map.magnitude[rows], -1.0)
+        band = slice(p, p + _BLOCK_ROWS)
+        block = np.where(valid[band], ra_map.magnitude[band], -1.0)
         flat = int(np.argmax(block))
         if not block.flat[flat] <= best:        # larger, or NaN
             best, cell = block.flat[flat], divmod(p * cols + flat, cols)

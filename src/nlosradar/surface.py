@@ -21,6 +21,7 @@ from .echo import suppress_point_returns
 from .geometry import RadarConfig, polar_to_xy
 from .ramap import (
     RangeAngleMap,
+    _argmax_cell,
     compute_ra_map,
     extract_peaks,
     refine_peak_quadratic,
@@ -243,21 +244,24 @@ def _build_estimate(slope: float, icept: float,
                            intercept=icept, inlier_count=count)
 
 
-_EXTRACTION_HEADROOM = 16   # candidates beyond k, so a strong point return
-                            # cannot crowd the wall out of the candidate set
+# Peaks Stage I extracts per map, whatever the scene: the 12 range cells of a
+# 4.5 m wall at 0.375 m cells plus 16 of headroom, so that a strong point
+# return cannot crowd the wall out of the candidate set.  A longer wall still
+# gives a consensus on its strongest cells; a much larger count lets sidelobe
+# and multipath cells outvote a short wall.
+STAGE1_CANDIDATES = 28
 
 
-def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
-                     min_length: float = 1.0,
+def estimate_surface(ra_map: RangeAngleMap, min_length: float = 1.0,
                      max_range_m: float | None = None,
                      inlier_threshold: float = INLIER_THRESHOLD_M,
                      seed: int = 0) -> SurfaceEstimate:
     """Detect the reflective surface on one map and estimate its parameters.
 
-    Extracts the ``k`` strongest peaks of the field of view (up to
-    ``max_range_m`` when given; ``extract_peaks``) at least 12 dB above the
-    median magnitude of that rectangle of the map, at most one per
-    range-resolution cell, converts them to Cartesian coordinates
+    Extracts the ``STAGE1_CANDIDATES`` strongest peaks of the field of
+    view (up to ``max_range_m`` when given; ``extract_peaks``) at least
+    12 dB above the median magnitude of that rectangle of the map, at most
+    one per range-resolution cell, converts them to Cartesian coordinates
     and fits a consensus line (``fit_ransac`` with ``inlier_threshold`` and
     ``seed``).  The surface counts as detected when the consensus set has
     at least ``MIN_INLIERS`` members spanning at least ``min_length``
@@ -267,7 +271,7 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
     # the exclusion radius is the map rows a range-resolution cell spans, so
     # each occupied wall cell can contribute its own candidate
     cell_rows = len(ra_map.range_axis_m) // ra_map.radar.num_samples
-    peaks = extract_peaks(ra_map, k + _EXTRACTION_HEADROOM,
+    peaks = extract_peaks(ra_map, STAGE1_CANDIDATES,
                           exclusion_radius_bins=cell_rows,
                           noise_floor_db=12.0, max_range_m=max_range_m)
     shadowed = _sidelobe_shadowed(peaks)
@@ -325,7 +329,7 @@ def estimate_surface(ra_map: RangeAngleMap, k: int = 35,
     return est
 
 
-def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
+def detect_surface(samples: np.ndarray, radar: RadarConfig,
                    detection_map: Callable[[], RangeAngleMap], seed: int = 0,
                    min_length: float = 1.0, helper: Executor | None = None
                    ) -> tuple[SurfaceEstimate, int | None]:
@@ -335,9 +339,9 @@ def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
     returns the frame's untapered detection map; it is called only when
     rung 1's gate is needed, so a caller can form the map while rungs run
     (``run_trial`` forms it on a helper thread).  ``estimate_surface`` runs
-    with ``k`` peaks, ``seed`` and ``min_length`` on up to three maps of
-    the frame, each formed only when the ones before found nothing, and
-    with half its rows on ``helper`` when one is given (``compute_ra_map``).
+    with ``seed`` and ``min_length`` on up to three maps of the frame, each
+    formed only when the ones before found nothing, and with half its rows
+    on ``helper`` when one is given (``compute_ra_map``).
     Returns the estimate and the index of the rung that detected the wall
     (None when none did).
 
@@ -356,7 +360,7 @@ def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
     def fit(frame, window, **kwargs):
         return estimate_surface(compute_ra_map(frame, radar, window=window,
                                                helper=helper),
-                                k=k, min_length=min_length, seed=seed, **kwargs)
+                                min_length=min_length, seed=seed, **kwargs)
 
     cleaned = suppress_point_returns(samples, radar, max_components=8)
     est = fit(cleaned, "hann")
@@ -364,7 +368,7 @@ def detect_surface(samples: np.ndarray, radar: RadarConfig, k: int,
         return est, 0
 
     ra_map = detection_map()
-    i, _ = ra_map.fov_argmax()
+    i, _ = _argmax_cell(ra_map, ra_map.fov_mask())
     gate = float(ra_map.range_axis_m[i]) - 4.5
     if gate > 4.0:
         est = fit(cleaned, "hann2d", max_range_m=gate,

@@ -32,7 +32,6 @@ from nlosradar.harness import (
     SweepSpec,
     TrialRecord,
     _aggregate,
-    default_k,
     identification_rate,
     reference_scene_doc,
     rmse_d,
@@ -45,16 +44,6 @@ from nlosradar.harness import (
 )
 
 from conftest import InlineExecutor  # noqa: E402 - shared
-
-
-def test_default_k(radar):
-    doc = reference_scene_doc()
-    spec = scenario_from_doc(doc)
-    assert default_k(spec) == math.ceil(8.0 / 0.375)
-    doc["surface"]["length"] = 13.0
-    assert default_k(scenario_from_doc(doc)) == 35
-    bare = randomize_scenario(SceneClass.LOS_NO_SURFACE, 1)
-    assert default_k(bare) == 35
 
 
 def test_trial_seed_split_reproducible():
@@ -124,7 +113,7 @@ def test_detect_surface_matches_run_trial(scene, rung):
                                   preset="identification", snr=snr)
     rec = run_trial(spec, PipelineOptions())
     echo = synthesize(spec)
-    est, got = detect_surface(echo.samples, spec.radar, default_k(spec),
+    est, got = detect_surface(echo.samples, spec.radar,
                               lambda: compute_ra_map(echo.samples, spec.radar),
                               seed=spec.seed)
     assert got == rec.stage1_rung == rung

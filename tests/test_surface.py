@@ -128,7 +128,7 @@ def _wall_scene(radar, snr_w, seed, surface, snr_t=0.0):
 def test_estimate_surface_noise_only_not_detected(radar):
     rng = np.random.default_rng(17)
     noise = rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128))
-    est = estimate_surface(compute_ra_map(noise, radar), k=20)
+    est = estimate_surface(compute_ra_map(noise, radar))
     assert not est.detected
 
 
@@ -167,7 +167,9 @@ def test_estimate_surface_snr_trend(radar, eval_surface):
 
 
 def test_longer_wall_estimates_no_worse(radar):
-    """Surface-parameter error is non-increasing in wall length at 30 dB."""
+    """Surface-parameter error is non-increasing in wall length at 30 dB,
+    also for a 13 m wall, whose 35 range cells outnumber Stage I's
+    candidates."""
     def center_rmse(length):
         errs = []
         for seed in range(30):
@@ -182,8 +184,9 @@ def test_longer_wall_estimates_no_worse(radar):
                 errs.append(length)    # count a miss as a full-length error
         return float(np.sqrt(np.mean(np.square(errs))))
 
-    rmse = [center_rmse(d) for d in (2.0, 4.0, 8.0)]
+    rmse = [center_rmse(d) for d in (2.0, 4.0, 8.0, 13.0)]
     assert rmse[2] <= rmse[1] * 1.25 and rmse[1] <= rmse[0] * 1.25
+    assert rmse[3] <= rmse[2] * 1.25
     assert rmse[2] <= rmse[0]
 
 
